@@ -2,14 +2,18 @@
 
 A chain witness is a strictly increasing index vector whose consecutive
 values are related under the oracle; relatedness is only required
-between neighbours, not pairwise.  ``longest_chain`` is the reference
-O(n^2) dynamic program with two rank-compressed fast paths:
+between neighbours, not pairwise.  ``longest_chain`` computes, from the
+right, the longest chain ``starts[i]`` starting at each position, then
+rebuilds the lexicographically least witness.  The oracle picks the
+index over the distinct values that finds the best later start:
 
-* ``alphabet``: few distinct values; relatedness is precomputed as a
-  small boolean matrix and the DP is vectorised over it.
-* ``ranked``: linear oracles; values are rank-compressed through the
-  oracle's sort key and the DP compares integer ranks.
+* ``ranked``: linear oracles.  A Fenwick tree of prefix maxima over the
+  values' sort-key ranks, O(n log n) in all.
+* ``alphabet``: every other oracle.  A scan over the distinct later
+  values, nearest first, that skips values unable to raise the running
+  best and memoises the oracle for values that recur.
 
+``generic`` is the plain O(n^2) scan over positions, kept as reference.
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
 routine for linear oracles; it must agree with the DP on length.
 """
@@ -19,8 +23,6 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DomainMismatchError,
@@ -81,16 +83,13 @@ class ChainWitness:
     values: tuple[Element, ...]
 
 
-_ALPHABET_CUTOFF = 64
-_SMALL_N = 32
-
-
 def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int, ChainWitness]:
     """Length and witness of the longest chain in y under the oracle.
 
     Among maximum-length chains the witness has the lexicographically
     least index vector.  ``method`` forces one of the internal paths
-    ("generic", "alphabet", "ranked") instead of auto dispatch.
+    ("generic", "alphabet", "ranked") instead of choosing by the
+    oracle: "ranked" for linear oracles, "alphabet" for the rest.
     """
     items = y.items
     n = len(items)
@@ -99,19 +98,15 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     ids, distinct = _value_ids(items)
 
     if method == "auto":
-        if n <= _SMALL_N:
-            method = "generic"
-        elif len(distinct) <= _ALPHABET_CUTOFF:
-            method = "alphabet"
-        elif order.is_linear:
-            method = "ranked"
-        else:
-            method = "generic"
+        method = "ranked" if order.is_linear else "alphabet"
+
+    def rel(i, j):
+        return order.related(items[i], items[j])
 
     if method == "generic":
-        starts, rel = _suffix_lengths_generic(items, order)
+        starts = _suffix_lengths_generic(items, order)
     elif method == "alphabet":
-        starts, rel = _suffix_lengths_alphabet(items, ids, distinct, order)
+        starts = _suffix_lengths_alphabet(items, ids, distinct, order)
     elif method == "ranked":
         starts, rel = _suffix_lengths_ranked(items, ids, distinct, order)
     else:
@@ -157,56 +152,76 @@ def _suffix_lengths_generic(items, order):
             if starts[j] > best and order.related(yi, items[j]):
                 best = starts[j]
         starts[i] = 1 + best
-
-    def rel(i, j):
-        return order.related(items[i], items[j])
-
-    return starts, rel
+    return starts
 
 
 def _suffix_lengths_alphabet(items, ids, distinct, order):
+    related = order.related
     n = len(items)
-    v = len(distinct)
-    matrix = [[order.related(a, b) for b in distinct] for a in distinct]
-    rel_np = np.array(matrix, dtype=bool).reshape(v, v)
-    id_arr = np.array(ids, dtype=np.int64)
-    starts = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        mask = rel_np[ids[i]][id_arr[i + 1 :]]
-        if mask.any():
-            starts[i] = 1 + starts[i + 1 :][mask].max()
-    starts = [int(s) for s in starts]
-
-    def rel(i, j):
-        return matrix[ids[i]][ids[j]]
-
-    return starts, rel
+    starts = [1] * n
+    # best[w]: the largest starts[j] over later positions j holding value
+    # w, in the order the walk first met each value, so reversing it
+    # visits the nearest values first.
+    best: dict[int, int] = {}
+    left = Counter(ids)
+    memo: dict[int, dict[int, bool]] = {}
+    for i in range(n - 1, -1, -1):
+        a = ids[i]
+        x = distinct[a]
+        left[a] -= 1
+        top = 0
+        if left[a]:
+            cache = memo.setdefault(a, {})
+            for w, s in reversed(best.items()):
+                if s > top:
+                    r = cache.get(w)
+                    if r is None:
+                        r = cache[w] = related(x, distinct[w])
+                    if r:
+                        top = s
+        else:
+            memo.pop(a, None)
+            for w, s in reversed(best.items()):
+                if s > top and related(x, distinct[w]):
+                    top = s
+        # An earlier copy of a value can start every chain a later copy
+        # starts, so this never lowers best[a].
+        starts[i] = best[a] = top + 1
+    return starts
 
 
 def _suffix_lengths_ranked(items, ids, distinct, order):
     if not order.is_linear:
         raise LinearityError(f"{order.name} is not linear; ranked path unavailable")
-    n = len(items)
     keys = [order.sort_key(el) for el in distinct]
-    order_of = sorted(range(len(keys)), key=keys.__getitem__)
-    rank_of_id = [0] * len(keys)
-    for rank, vid in enumerate(order_of):
-        rank_of_id[vid] = rank
-    ranks = [rank_of_id[vid] for vid in ids]
-    rank_arr = np.array(ranks, dtype=np.int64)
+    v = len(keys)
+    # Slot v - rank puts the values above a rank in a prefix of the
+    # Fenwick tree, whose nodes hold prefix maxima of starts.
+    slot_of_id = [0] * v
+    for rank, vid in enumerate(sorted(range(v), key=keys.__getitem__)):
+        slot_of_id[vid] = v - rank
+    slots = [slot_of_id[vid] for vid in ids]
     strict = order.strict
-    starts = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        suffix = rank_arr[i + 1 :]
-        mask = suffix > ranks[i] if strict else suffix >= ranks[i]
-        if mask.any():
-            starts[i] = 1 + starts[i + 1 :][mask].max()
-    starts = [int(s) for s in starts]
+    tree = [0] * (v + 1)
+    starts = [1] * len(items)
+    for i in range(len(items) - 1, -1, -1):
+        slot = slots[i]
+        k = slot - 1 if strict else slot
+        top = 0
+        while k:
+            if tree[k] > top:
+                top = tree[k]
+            k &= k - 1
+        top += 1
+        starts[i] = top
+        # Each node covers its child's range, so once one holds top,
+        # every node above it does too.
+        while slot <= v and tree[slot] < top:
+            tree[slot] = top
+            slot += slot & -slot
 
     def rel(i, j):
-        if strict:
-            return ranks[j] > ranks[i]
-        return ranks[j] >= ranks[i]
+        return slots[j] < slots[i] if strict else slots[j] <= slots[i]
 
     return starts, rel
 
@@ -305,40 +320,16 @@ def cycle_witness(up: UPSequence, order: Order) -> list[Element] | None:
 
     The returned list c_0, ..., c_{k-1} satisfies related(c_i, c_{i+1})
     and related(c_{k-1}, c_0); a self-loop gives a singleton list.
+
+    No search is needed for an oracle that satisfies the axioms
+    ``check_axioms`` verifies.  In the strict reading relatedness is
+    irreflexive and transitive, so the graph has no cycle; in the
+    non-strict reading it is reflexive, so the first cycle value is a
+    self-loop.
     """
-    values: list[Element] = []
-    seen = set()
-    for el in up.cycle.items:
-        if el not in seen:
-            seen.add(el)
-            values.append(el)
-    n = len(values)
-    succs = [
-        [j for j in range(n) if order.related(values[i], values[j])] for i in range(n)
-    ]
-    # Prune nodes with no outgoing edge until stable; survivors all have a
-    # successor among survivors, so following edges must revisit a node.
-    alive = set(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not any(j in alive for j in succs[i]):
-                alive.discard(i)
-                changed = True
-    if not alive:
-        return None
-    start = min(alive)
-    path = [start]
-    position = {start: 0}
-    current = start
-    while True:
-        current = next(j for j in succs[current] if j in alive)
-        if current in position:
-            cycle = path[position[current] :]
-            return [values[i] for i in cycle]
-        position[current] = len(path)
-        path.append(current)
+    first = up.cycle.items[0]
+    order.check_element(first)
+    return None if order.strict else [first]
 
 
 def format_witness(witness: ChainWitness) -> str:

@@ -337,20 +337,18 @@ def splitting_depth(elems) -> int:
     depth is one more than the best middle element's worse side.  On a
     sorted list only gaps in positions matter, and the optimum always
     splits a run as evenly as possible, so the depth of a distance-d
-    pair follows h(d) = 1 + h(d // 2) with h(1) = 0.  The result is the
-    maximum over all pairs, i.e. h over the full span.
+    pair follows h(d) = 1 + h(d // 2) with h(1) = 0, that is
+    h(d) = floor(log2 d).  The result is the maximum over all pairs,
+    i.e. h over the full span m - 1 of m values.
     """
-    vals = sorted(Fraction(v) for v in elems)
-    for u, w in zip(vals, vals[1:]):
-        if u == w:
-            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {u} twice")
-    m = len(vals)
-    if m < 2:
-        return 0
-    h = [0] * m
-    for d in range(2, m):
-        h[d] = 1 + h[d // 2]
-    return h[m - 1]
+    seen: set[Fraction] = set()
+    for v in elems:
+        v = Fraction(v)
+        if v in seen:
+            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {v} twice")
+        seen.add(v)
+    m = len(seen)
+    return (m - 1).bit_length() - 1 if m >= 2 else 0
 
 
 def dense_embed(

@@ -49,12 +49,12 @@ def word_to_dyadic(word: Word) -> Fraction:
     extending a word only adds smaller binary digits, which keeps
     prefixes below their extensions.
     """
+    num = 0
     exponent = 0
-    total = Fraction(0)
     for entry in word:
+        num = (num << (entry + 1)) | 1
         exponent += entry + 1
-        total += Fraction(1, 2**exponent)
-    return total
+    return Fraction(num, 1 << exponent)
 
 
 def format_dyadic_binary(value: Fraction) -> str:

@@ -5,6 +5,10 @@ class OrderChainsError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ArgumentError(OrderChainsError, ValueError):
+    """A numeric argument lies outside the range the operation accepts."""
+
+
 class ParseError(OrderChainsError):
     """A textual token could not be parsed for the requested domain."""
 

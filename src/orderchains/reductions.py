@@ -17,7 +17,7 @@ from typing import Callable
 
 from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
-from .errors import DomainMismatchError, ParseError
+from .errors import ArgumentError, DomainMismatchError, ParseError
 from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag, make_element
 from .trees import FiniteTree, filler, index_of, iter_words, word_at
 
@@ -56,7 +56,7 @@ def lift_map(x: Sequence, pmap: PointwiseMap) -> Sequence:
 def reduce_tree(tree: FiniteTree, horizon: int) -> Sequence:
     """First ``horizon`` terms of the reduction of the tree."""
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise ArgumentError("horizon must be at least 1")
     items = []
     for n, w in enumerate(iter_words()):
         if n >= horizon:
@@ -105,9 +105,9 @@ class TreeGenSpec:
 
     def __post_init__(self):
         if self.depth_cap < 0 or self.node_cap < 1:
-            raise ValueError("caps must be positive")
+            raise ArgumentError("caps must be positive")
         if not 0 < self.mean_children:
-            raise ValueError("mean_children must be positive")
+            raise ArgumentError("mean_children must be positive")
 
 
 def generate_tree(spec: TreeGenSpec) -> FiniteTree:

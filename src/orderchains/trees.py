@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import ParseError, TreePrefixError
+from .errors import ArgumentError, ParseError, TreePrefixError
 from .words import Word, parse_nat_word
 
 
@@ -92,7 +92,7 @@ def filler(n: int) -> Word:
     at most one of them can ever join a chain.
     """
     if n < 0:
-        raise ValueError("filler index must be non-negative")
+        raise ArgumentError("filler index must be non-negative")
     return (1,) * n + (0,)
 
 
@@ -162,7 +162,7 @@ def index_of(word: Word) -> int:
 def word_at(n: int) -> Word:
     """Inverse of index_of."""
     if n < 0:
-        raise ValueError("enumeration index must be non-negative")
+        raise ArgumentError("enumeration index must be non-negative")
     if n == 0:
         return ()
     b = 1

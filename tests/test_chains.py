@@ -148,6 +148,42 @@ def test_dp_matches_brute_force_divides(payloads):
     assert witness.indices == want_idx
 
 
+nat_words = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+bit_words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+
+# Every shipped oracle, Delta on two domains, each with payloads from a
+# range small enough that short sequences hold both repeats and several
+# distinct values.
+ORACLE_CASES = {
+    "Divides": (None, st.integers(1, 8)),
+    "Delta-int": (Tag.INT, st.integers(-2, 2)),
+    "Delta-bits": (Tag.WORD_BIT, bit_words),
+    "IntLess": (None, st.integers(-3, 3)),
+    "RatLess": (None, st.fractions(min_value=0, max_value=1, max_denominator=3)),
+    "SubsetWordNat": (None, nat_words),
+    "SubsetWordBit": (None, bit_words),
+    "RL": (None, nat_words),
+    "LexBit": (None, bit_words),
+}
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_every_method_matches_brute_force(case, strict, data):
+    "each index, forced or chosen, gives the exhaustive length and witness"
+    tag, values = ORACLE_CASES[case]
+    order = make_order(case.split("-")[0], strict=strict, tag=tag)
+    payloads = data.draw(st.lists(values, min_size=1, max_size=9))
+    seq = Sequence.from_payloads(order.domain, payloads)
+    want = brute_longest_chain(seq, order)
+    methods = ["generic", "alphabet", "auto"] + (["ranked"] if order.is_linear else [])
+    for method in methods:
+        length, witness = longest_chain(seq, order, method=method)
+        assert (length, witness.indices) == want, method
+
+
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16), min_size=1, max_size=60))
 def test_patience_matches_dp(payloads):
     "patience sorting equals the DP on a linear order"

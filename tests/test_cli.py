@@ -201,6 +201,24 @@ def test_decide_up_literal_input(capsys):
     assert "cycle: 2 -> 2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--horizon", "0"),
+        ("fuzz", "--node-cap", "0"),
+        ("fuzz", "--mean-children", "0"),
+    ],
+)
+def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):
+    "a numeric flag out of range is bad input, not a crash"
+    if argv[0] == "reduce":
+        argv += (tree_file,)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_check_axioms_clean(capsys, tmp_path):
     path = tmp_path / "ints.txt"
     path.write_text("-1 0 1 2\n")
@@ -267,3 +285,12 @@ def test_entry_point_runs(tmp_path):
 @pytest.mark.skipif(shutil.which("orderchains") is None, reason="orderchains is not installed on PATH")
 def test_installed_entry_point_runs(tmp_path):
     _check_entry_point([shutil.which("orderchains")], tmp_path)
+
+
+def test_import_does_not_load_numpy():
+    "the package and its CLI run on the standard library alone"
+    code = "import sys, orderchains, orderchains.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr

@@ -115,6 +115,13 @@ def test_word_to_dyadic_in_unit_interval(word):
     assert 0 <= word_to_dyadic(word) < 1
 
 
+@given(st.lists(st.integers(0, 12), max_size=8).map(tuple))
+def test_word_to_dyadic_matches_literal_sum(word):
+    "the value is the sum of 2**-e_k with e_k = a_0 + ... + a_k + k + 1"
+    exponents = [sum(word[: k + 1]) + k + 1 for k in range(len(word))]
+    assert word_to_dyadic(word) == sum((Fraction(1, 2**e) for e in exponents), Fraction(0))
+
+
 def test_format_dyadic_binary():
     assert format_dyadic_binary(Fraction(3, 8)) == "0.011"
     assert format_dyadic_binary(Fraction(0)) == "0."
