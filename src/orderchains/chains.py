@@ -5,13 +5,17 @@ values are related under the oracle; relatedness is only required
 between neighbours, not pairwise.  ``longest_chain`` computes, from the
 right, the longest chain ``starts[i]`` starting at each position, then
 rebuilds the lexicographically least witness.  The oracle picks the
-index over the distinct values that finds the best later start:
+index over the v distinct values that finds the best later start:
 
 * ``ranked``: linear oracles.  A Fenwick tree of prefix maxima over the
   values' sort-key ranks, O(n log n) in all.
+* ``linked``: oracles whose ``lower_links`` lists the values below each
+  value (the prefix orders, Divides, Delta).  Each new start is pushed
+  down the links into the best start above every lower value, O(n +
+  v log v) plus the pushes, which are bounded by n times the link depth.
 * ``alphabet``: every other oracle.  A scan over the distinct later
   values, nearest first, that skips values unable to raise the running
-  best and memoises the oracle for values that recur.
+  best and memoises the oracle for values that recur; O(n·v).
 
 ``generic`` is the plain O(n^2) scan over positions, kept as reference.
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
@@ -87,9 +91,12 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     """Length and witness of the longest chain in y under the oracle.
 
     Among maximum-length chains the witness has the lexicographically
-    least index vector.  ``method`` forces one of the internal paths
-    ("generic", "alphabet", "ranked") instead of choosing by the
-    oracle: "ranked" for linear oracles, "alphabet" for the rest.
+    least index vector.  By default the oracle picks the index over the
+    v distinct values: "ranked" (O(n log n)) for linear oracles, the
+    lower-link index (O(n + v log v) plus pushes bounded by n times the
+    link depth) for oracles whose ``lower_links`` is not None, and the
+    "alphabet" value scan (O(n·v)) for the rest.  ``method`` forces one
+    of "generic", "alphabet" or "ranked" instead.
     """
     items = y.items
     n = len(items)
@@ -97,13 +104,22 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
         raise EmptySequenceError("longest_chain needs a non-empty sequence")
     ids, distinct = _value_ids(items)
 
+    links = None
     if method == "auto":
         method = "ranked" if order.is_linear else "alphabet"
+        if method == "alphabet":
+            # The links are built from raw payloads, so check the domain
+            # where the scan's first comparison would have.
+            if n > 1:
+                order.check_element(items[0])
+            links = order.lower_links([el.value for el in distinct])
 
     def rel(i, j):
         return order.related(items[i], items[j])
 
-    if method == "generic":
+    if links is not None:
+        starts = _suffix_lengths_linked(ids, links, order.strict)
+    elif method == "generic":
         starts = _suffix_lengths_generic(items, order)
     elif method == "alphabet":
         starts = _suffix_lengths_alphabet(items, ids, distinct, order)
@@ -187,6 +203,29 @@ def _suffix_lengths_alphabet(items, ids, distinct, order):
         # An earlier copy of a value can start every chain a later copy
         # starts, so this never lowers best[a].
         starts[i] = best[a] = top + 1
+    return starts
+
+
+def _suffix_lengths_linked(ids, links, strict):
+    # above[v]: the best start at a later position whose value is
+    # strictly above v; at[v]: the best start at a later position that
+    # holds v.  Invariant: for every link p -> q, above[q] is at least
+    # max(above[p], at[p]).  So a push that finds above[q] already at s
+    # can stop there, since everything below q holds at least s too.
+    v = len(links)
+    above = [0] * v
+    at = [0] * v
+    starts = [1] * len(ids)
+    for i in range(len(ids) - 1, -1, -1):
+        a = ids[i]
+        s = 1 + (above[a] if strict else max(above[a], at[a]))
+        starts[i] = at[a] = s
+        stack = [a]
+        while stack:
+            for q in links[stack.pop()]:
+                if above[q] < s:
+                    above[q] = s
+                    stack.append(q)
     return starts
 
 

@@ -9,9 +9,13 @@ preserved and reflected.  All rational arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ArgumentOrderError, DomainMismatchError
-from .words import Word
+from .orders import LT, BitLexOrder
+from .words import Word, is_prefix
+
+_BIT_LEX = BitLexOrder()
 
 
 def double_bits(n: int) -> Word:
@@ -32,12 +36,8 @@ def word_to_bits(word: Word) -> Word:
     The marker can never occur inside a doubled-bit block, so decoding
     is unambiguous and prefixes map exactly to prefixes.
     """
-    out: list[int] = []
-    for entry in word:
-        out.extend(double_bits(entry))
-        out.append(0)
-        out.append(1)
-    return tuple(out)
+    codes = {e: double_bits(e) + (0, 1) for e in set(word)}
+    return tuple(chain.from_iterable(map(codes.__getitem__, word)))
 
 
 def word_to_dyadic(word: Word) -> Fraction:
@@ -82,17 +82,9 @@ def lex_between(a: Word, b: Word) -> Word:
     for w in (a, b):
         if not w or w[-1] != 1:
             raise DomainMismatchError(f"lex_between arguments must end in 1, got {w!r}")
-    if not _bit_lex_less(a, b):
+    if _BIT_LEX._compare(a, b) is not LT:
         raise ArgumentOrderError(f"{a!r} does not precede {b!r} lexicographically")
-    if b[: len(a)] == a:
+    if is_prefix(a, b):
         return a + (0,) * (len(b) - len(a)) + (1,)
     return a + (1,)
 
-
-def _bit_lex_less(x: Word, y: Word) -> bool:
-    if x == y:
-        return False
-    for xe, ye in zip(x, y):
-        if xe != ye:
-            return xe < ye
-    return len(x) < len(y)

@@ -13,12 +13,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainMismatchError, ParseError
 from .words import (
     Word,
     format_bit_word,
     format_nat_word,
+    is_prefix,
     parse_bit_word,
     parse_nat_word,
 )
@@ -74,7 +76,7 @@ class Element:
             if not _is_word(value):
                 raise DomainMismatchError(f"word elements are tuples of naturals, got {value!r}")
         elif tag is Tag.WORD_BIT:
-            if not _is_word(value) or any(b not in (0, 1) for b in value):
+            if not _is_word(value) or (value and max(value) > 1):
                 raise DomainMismatchError(f"bit-word elements are tuples over {{0,1}}, got {value!r}")
 
     def __str__(self):
@@ -82,9 +84,13 @@ class Element:
 
 
 def _is_word(value) -> bool:
-    return isinstance(value, tuple) and all(
-        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value
-    )
+    if not isinstance(value, tuple):
+        return False
+    # Entries of exact type int need only a sign check; bools, int
+    # subclasses and everything else take the per-entry test.
+    if set(map(type, value)) <= {int}:
+        return not value or min(value) >= 0
+    return all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value)
 
 
 def make_element(tag: Tag, payload) -> Element:
@@ -167,6 +173,21 @@ class Order:
         """Order-embedding key into Python comparisons (linear oracles only)."""
         raise NotImplementedError(f"{self.name} has no sort key")
 
+    def lower_links(self, values) -> list[tuple[int, ...]] | None:
+        """Links from each value down to values strictly below it, or None.
+
+        ``values`` is a list of distinct payloads of this oracle's
+        domain.  The result ``links`` has one tuple per value:
+        ``links[k]`` holds indices j with ``values[j]`` strictly below
+        ``values[k]`` (``_compare`` gives LT), and following links
+        transitively from k reaches every value strictly below
+        ``values[k]``.  The links encode LT alone, so one list serves
+        both readings.  The base class returns None: an oracle that
+        cannot list its lower values leaves the chain search to the
+        value scan.
+        """
+        return None
+
     def _compare(self, x, y) -> Cmp:
         raise NotImplementedError
 
@@ -190,6 +211,28 @@ class DividesOrder(Order):
             return GT
         return INCOMPARABLE
 
+    def lower_links(self, values):
+        """Every proper divisor among ``values``.
+
+        Trial division up to each value's square root while the largest
+        value's root is below the number v of values, a scan over the
+        values otherwise: either takes at most v² steps, so huge naturals
+        never cost more than the scan.
+        """
+        if isqrt(max(values, default=0)) >= len(values):
+            return [tuple(j for j, y in enumerate(values) if y != x and x % y == 0) for x in values]
+        index = {x: k for k, x in enumerate(values)}
+        links = []
+        for x in values:
+            below = []
+            for d in range(1, isqrt(x) + 1):
+                if x % d == 0:
+                    for y in {d, x // d}:
+                        if y != x and y in index:
+                            below.append(index[y])
+            links.append(tuple(below))
+        return links
+
 
 class DeltaOrder(Order):
     """The identity relation on any domain: only equal pairs are related."""
@@ -201,6 +244,9 @@ class DeltaOrder(Order):
 
     def _compare(self, x, y):
         return EQ if x == y else INCOMPARABLE
+
+    def lower_links(self, values):
+        return [()] * len(values)
 
 
 class IntLessOrder(Order):
@@ -250,11 +296,29 @@ class PrefixOrder(Order):
     def _compare(self, x, y):
         if x == y:
             return EQ
-        if len(x) < len(y) and y[: len(x)] == x:
+        if is_prefix(x, y):
             return LT
-        if len(y) < len(x) and x[: len(y)] == y:
+        if is_prefix(y, x):
             return GT
         return INCOMPARABLE
+
+    def lower_links(self, values):
+        """The nearest proper prefix of each value among ``values``.
+
+        Tuple order puts a word just before the contiguous run of its
+        extensions, so one sweep in that order with a stack of the open
+        prefixes finds each value's nearest prefix on top of the stack.
+        """
+        links: list[tuple[int, ...]] = [()] * len(values)
+        open_prefixes: list[int] = []
+        for k in sorted(range(len(values)), key=values.__getitem__):
+            word = values[k]
+            while open_prefixes and not is_prefix(values[open_prefixes[-1]], word):
+                open_prefixes.pop()
+            if open_prefixes:
+                links[k] = (open_prefixes[-1],)
+            open_prefixes.append(k)
+        return links
 
 
 class ReverseLexOrder(Order):

@@ -26,7 +26,7 @@ from orderchains.errors import (
     ParseError,
     WitnessIndexError,
 )
-from orderchains.orders import Tag, make_element, make_order
+from orderchains.orders import Order, Tag, make_element, make_order
 
 int_less = make_order("IntLess")
 divides = make_order("Divides")
@@ -182,6 +182,49 @@ def test_every_method_matches_brute_force(case, strict, data):
     for method in methods:
         length, witness = longest_chain(seq, order, method=method)
         assert (length, witness.indices) == want, method
+
+
+# Partial oracles that carry lower links, with payloads that give both
+# repeats and related pairs in sequences of up to 60 terms.  The two
+# Divides ranges sit on either side of the rule that picks trial
+# division (square root of the largest value below the distinct count)
+# or a scan over the values.
+LINKED_CASES = {
+    "SubsetWordNat": (None, st.lists(st.integers(0, 2), max_size=4).map(tuple)),
+    "SubsetWordBit": (None, st.lists(st.integers(0, 1), max_size=5).map(tuple)),
+    "Delta-int": (Tag.INT, st.integers(-3, 3)),
+    "Delta-bits": (Tag.WORD_BIT, st.lists(st.integers(0, 1), max_size=3).map(tuple)),
+    "Divides-small": (None, st.integers(1, 60)),
+    "Divides-huge": (None, st.integers(10**12, 10**12 + 10**6)),
+}
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("case", sorted(LINKED_CASES))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_linked_index_matches_generic(case, strict, data):
+    "the lower-link index gives the generic scan's length and witness"
+    tag, values = LINKED_CASES[case]
+    order = make_order(case.split("-")[0], strict=strict, tag=tag)
+    payloads = data.draw(st.lists(values, min_size=1, max_size=60))
+    seq = Sequence.from_payloads(order.domain, payloads)
+    length, witness = longest_chain(seq, order)
+    want_len, want_wit = longest_chain(seq, order, method="generic")
+    assert (length, witness.indices) == (want_len, want_wit.indices)
+
+
+def test_linked_index_deep_prefix_chain():
+    "a chain of 2 000 nested words is found whole"
+    seq = Sequence.from_payloads(Tag.WORD_NAT, [(0,) * k for k in range(2000)])
+    length, witness = longest_chain(seq, make_order("SubsetWordNat"))
+    assert length == 2000
+    assert witness.indices == tuple(range(2000))
+
+
+def test_base_order_has_no_lower_links():
+    "an oracle outside the package keeps the value scan"
+    assert Order().lower_links([1, 2, 3]) is None
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16), min_size=1, max_size=60))

@@ -1,5 +1,6 @@
 """Comparison oracles: verdicts, strictness, axioms."""
 
+import enum
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,58 @@ def test_element_round_trip():
     ]
     for tag, text in cases:
         assert format_element(parse_element(text, tag)) == text
+
+
+class _Bit(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class _SubInt(int):
+    pass
+
+
+# Payload, accepted as a nat-word, accepted as a bit-word.
+WORD_PAYLOADS = [
+    ((), True, True),
+    (True, False, False),
+    (False, False, False),
+    (1.0, False, False),
+    (-1, False, False),
+    (2, False, False),
+    (Fraction(1), False, False),
+    (None, False, False),
+    (10**30, False, False),
+    ([0, 1], False, False),
+    ("01", False, False),
+    ((0, 1, 1), True, True),
+    ((2, 0), True, False),
+    ((10**30,), True, False),
+    ((-1, 0), False, False),
+    ((True,), False, False),
+    ((0, True), False, False),
+    ((1.0,), False, False),
+    ((Fraction(1),), False, False),
+    ((None,), False, False),
+    (("0",), False, False),
+    ((_Bit.ONE,), True, True),
+    ((_Bit.TWO,), True, False),
+    ((_SubInt(1), 0), True, True),
+    ((_SubInt(3),), True, False),
+    ((_SubInt(-1),), False, False),
+]
+
+
+@pytest.mark.parametrize("tag", [Tag.WORD_NAT, Tag.WORD_BIT])
+@pytest.mark.parametrize("payload,nat_ok,bit_ok", WORD_PAYLOADS)
+def test_word_element_validation(tag, payload, nat_ok, bit_ok):
+    "word elements accept exactly tuples of non-negative ints (0/1 for bits), bools excluded"
+    ok = nat_ok if tag is Tag.WORD_NAT else bit_ok
+    if ok:
+        assert Element(tag, payload).value == payload
+    else:
+        with pytest.raises(DomainMismatchError):
+            Element(tag, payload)
 
 
 def test_rational_formats_as_fraction():
