@@ -4,8 +4,8 @@ A chain witness is a strictly increasing index vector whose consecutive
 values are related under the oracle; relatedness is only required
 between neighbours, not pairwise.  ``longest_chain`` computes, from the
 right, the longest chain ``starts[i]`` starting at each position, then
-rebuilds the lexicographically least witness.  The oracle picks the
-index over the v distinct values that finds the best later start:
+rebuilds the lexicographically least witness.  The oracle alone picks
+the index over the v distinct values that finds the best later start:
 
 * ``ranked``: linear oracles.  A Fenwick tree of prefix maxima over the
   values' sort-key ranks, O(n log n) in all.
@@ -13,11 +13,10 @@ index over the v distinct values that finds the best later start:
   value (the prefix orders, Divides, Delta).  Each new start is pushed
   down the links into the best start above every lower value, O(n +
   v log v) plus the pushes, which are bounded by n times the link depth.
-* ``alphabet``: every other oracle.  A scan over the distinct later
-  values, nearest first, that skips values unable to raise the running
-  best and memoises the oracle for values that recur; O(n·v).
+* ``generic``: the plain O(n^2) scan over positions.  It is the fallback
+  for an ``Order`` subclass that has neither, and the reference that
+  ``method="generic"`` forces.
 
-``generic`` is the plain O(n^2) scan over positions, kept as reference.
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
 routine for linear oracles; it must agree with the DP on length.
 """
@@ -92,41 +91,36 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
     Among maximum-length chains the witness has the lexicographically
     least index vector.  By default the oracle picks the index over the
-    v distinct values: "ranked" (O(n log n)) for linear oracles, the
+    v distinct values: ``ranked`` (O(n log n)) for linear oracles, the
     lower-link index (O(n + v log v) plus pushes bounded by n times the
     link depth) for oracles whose ``lower_links`` is not None, and the
-    "alphabet" value scan (O(n·v)) for the rest.  ``method`` forces one
-    of "generic", "alphabet" or "ranked" instead.
+    O(n^2) generic scan for the rest.  ``method="generic"`` forces that
+    scan, the reference the other indexes are tested against.
     """
     items = y.items
     n = len(items)
     if n == 0:
         raise EmptySequenceError("longest_chain needs a non-empty sequence")
-    ids, distinct = _value_ids(items)
-
-    links = None
-    if method == "auto":
-        method = "ranked" if order.is_linear else "alphabet"
-        if method == "alphabet":
-            # The links are built from raw payloads, so check the domain
-            # where the scan's first comparison would have.
-            if n > 1:
-                order.check_element(items[0])
-            links = order.lower_links([el.value for el in distinct])
+    if method not in ("auto", "generic"):
+        raise ParseError(f"unknown longest_chain method {method!r}")
+    # A Sequence holds one tag, so one check covers every term.
+    order.check_element(items[0])
 
     def rel(i, j):
         return order.related(items[i], items[j])
 
-    if links is not None:
-        starts = _suffix_lengths_linked(ids, links, order.strict)
-    elif method == "generic":
+    if method == "generic":
         starts = _suffix_lengths_generic(items, order)
-    elif method == "alphabet":
-        starts = _suffix_lengths_alphabet(items, ids, distinct, order)
-    elif method == "ranked":
-        starts, rel = _suffix_lengths_ranked(items, ids, distinct, order)
+    elif order.is_linear:
+        ids, distinct = _value_ids(items)
+        starts, rel = _suffix_lengths_ranked(ids, distinct, order)
     else:
-        raise ParseError(f"unknown longest_chain method {method!r}")
+        ids, distinct = _value_ids(items)
+        links = order.lower_links([el.value for el in distinct])
+        if links is None:
+            starts = _suffix_lengths_generic(items, order)
+        else:
+            starts = _suffix_lengths_linked(ids, links, order.strict)
 
     best = max(starts)
     indices: list[int] = []
@@ -144,15 +138,15 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
 
 def _value_ids(items):
-    """Map each position to a dense id over the distinct values."""
-    seen: dict[Element, int] = {}
+    """Map each position to a dense id over the distinct values, and list
+    the first element holding each value."""
+    seen: dict[object, int] = {}
     ids = []
     distinct = []
     for el in items:
-        vid = seen.get(el)
+        vid = seen.get(el.value)
         if vid is None:
-            vid = len(distinct)
-            seen[el] = vid
+            vid = seen[el.value] = len(distinct)
             distinct.append(el)
         ids.append(vid)
     return ids, distinct
@@ -168,41 +162,6 @@ def _suffix_lengths_generic(items, order):
             if starts[j] > best and order.related(yi, items[j]):
                 best = starts[j]
         starts[i] = 1 + best
-    return starts
-
-
-def _suffix_lengths_alphabet(items, ids, distinct, order):
-    related = order.related
-    n = len(items)
-    starts = [1] * n
-    # best[w]: the largest starts[j] over later positions j holding value
-    # w, in the order the walk first met each value, so reversing it
-    # visits the nearest values first.
-    best: dict[int, int] = {}
-    left = Counter(ids)
-    memo: dict[int, dict[int, bool]] = {}
-    for i in range(n - 1, -1, -1):
-        a = ids[i]
-        x = distinct[a]
-        left[a] -= 1
-        top = 0
-        if left[a]:
-            cache = memo.setdefault(a, {})
-            for w, s in reversed(best.items()):
-                if s > top:
-                    r = cache.get(w)
-                    if r is None:
-                        r = cache[w] = related(x, distinct[w])
-                    if r:
-                        top = s
-        else:
-            memo.pop(a, None)
-            for w, s in reversed(best.items()):
-                if s > top and related(x, distinct[w]):
-                    top = s
-        # An earlier copy of a value can start every chain a later copy
-        # starts, so this never lowers best[a].
-        starts[i] = best[a] = top + 1
     return starts
 
 
@@ -229,9 +188,7 @@ def _suffix_lengths_linked(ids, links, strict):
     return starts
 
 
-def _suffix_lengths_ranked(items, ids, distinct, order):
-    if not order.is_linear:
-        raise LinearityError(f"{order.name} is not linear; ranked path unavailable")
+def _suffix_lengths_ranked(ids, distinct, order):
     keys = [order.sort_key(el) for el in distinct]
     v = len(keys)
     # Slot v - rank puts the values above a rank in a prefix of the
@@ -242,8 +199,8 @@ def _suffix_lengths_ranked(items, ids, distinct, order):
     slots = [slot_of_id[vid] for vid in ids]
     strict = order.strict
     tree = [0] * (v + 1)
-    starts = [1] * len(items)
-    for i in range(len(items) - 1, -1, -1):
+    starts = [1] * len(ids)
+    for i in range(len(ids) - 1, -1, -1):
         slot = slots[i]
         k = slot - 1 if strict else slot
         top = 0
@@ -271,6 +228,7 @@ def patience_chain_length(y: Sequence, order: Order) -> int:
         raise LinearityError(f"patience sorting needs a linear oracle, got {order.name}")
     if len(y) == 0:
         raise EmptySequenceError("patience_chain_length needs a non-empty sequence")
+    order.check_element(y.items[0])
     find = bisect.bisect_left if order.strict else bisect.bisect_right
     tails: list = []
     for el in y.items:

@@ -186,14 +186,9 @@ def stream_from_values(values: Iterable[Fraction], name: str = "file-stream") ->
 
 
 def _generator_stream(gen_factory, name: str) -> CountableSetStream:
-    box: dict = {"gen": gen_factory(), "out": []}
-
-    def fn(i: int) -> Fraction:
-        while len(box["out"]) <= i:
-            box["out"].append(next(box["gen"]))
-        return box["out"][i]
-
-    return CountableSetStream(fn, name=name)
+    # CountableSetStream asks for indices 0, 1, 2, ... once each, in turn.
+    it = gen_factory()
+    return CountableSetStream(lambda _j: next(it), name=name)
 
 
 def dyadic_stream() -> CountableSetStream:
@@ -314,20 +309,12 @@ def persistently_approaches(values, g: Fraction, anchors) -> bool:
     Every anchor needs at least one hit, and for every cut N below the
     last position there must be a hit beyond N; windows that start at or
     after the last position are outside the horizon and are not checked.
+    Both ask only that the sequence is non-empty and its last value is
+    a hit.
     """
     vals = [v.value if isinstance(v, Element) else Fraction(v) for v in values]
-    for anchor in anchors:
-        a = Fraction(anchor)
-        if not a < g:
-            continue
-        hits = [i for i, v in enumerate(vals) if a < v <= g]
-        if not hits:
-            return False
-        last_hit = hits[-1]
-        for cut in range(0, len(vals) - 1):
-            if last_hit <= cut:
-                return False
-    return True
+    anchors = [Fraction(a) for a in anchors]
+    return all(vals and a < vals[-1] <= g for a in anchors if a < g)
 
 
 def splitting_depth(elems) -> int:
@@ -368,6 +355,7 @@ def dense_embed(
     placed_keys: list = []
     placed_vals: list[Fraction] = []
     for el in elems:
+        order.check_element(el)
         if el in images:
             raise DuplicateElementError(f"duplicate source element {el}")
         key = order.sort_key(el)

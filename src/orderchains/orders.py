@@ -3,9 +3,10 @@
 Each oracle answers a four-valued ``compare`` (LT / EQ / GT /
 INCOMPARABLE) that is independent of strictness; ``related`` projects
 the verdict onto the strict or reflexive reading the oracle was built
-with.  Linear oracles additionally expose a ``sort_key`` that embeds
-their order into Python's native comparisons, which the chain
-algorithms use for rank compression.
+with.  A linear oracle states its order once, as one key per payload
+that embeds it into Python's native comparisons: ``compare`` and
+``sort_key`` both derive from that key, and the chain algorithms rank
+by it.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class Order:
         ``values[k]``.  The links encode LT alone, so one list serves
         both readings.  The base class returns None: an oracle that
         cannot list its lower values leaves the chain search to the
-        value scan.
+        generic scan.
         """
         return None
 
@@ -194,6 +195,26 @@ class Order:
     def __repr__(self):
         kind = "strict" if self.strict else "non-strict"
         return f"{self.name}({kind})"
+
+
+class LinearOrder(Order):
+    """Base of the linear oracles: the order is that of ``_key`` on payloads."""
+
+    is_linear = True
+
+    @staticmethod
+    def _key(payload):
+        return payload
+
+    def _compare(self, x, y):
+        kx, ky = self._key(x), self._key(y)
+        if kx == ky:
+            return EQ
+        return LT if kx < ky else GT
+
+    def sort_key(self, el: Element):
+        """Order-embedding key into Python comparisons."""
+        return self._key(el.value)
 
 
 class DividesOrder(Order):
@@ -249,36 +270,18 @@ class DeltaOrder(Order):
         return [()] * len(values)
 
 
-class IntLessOrder(Order):
+class IntLessOrder(LinearOrder):
     """The usual order on the integers."""
 
     name = "IntLess"
     domain = Tag.INT
-    is_linear = True
-
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        return LT if x < y else GT
-
-    def sort_key(self, el):
-        return el.value
 
 
-class RatLessOrder(Order):
+class RatLessOrder(LinearOrder):
     """The usual order on the rationals."""
 
     name = "RatLess"
     domain = Tag.RATIONAL
-    is_linear = True
-
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        return LT if x < y else GT
-
-    def sort_key(self, el):
-        return el.value
 
 
 class PrefixOrder(Order):
@@ -321,45 +324,26 @@ class PrefixOrder(Order):
         return links
 
 
-class ReverseLexOrder(Order):
+class ReverseLexOrder(LinearOrder):
     """Linear order on nat-words: prefixes come first, and at the first
     disagreement the *larger* entry makes the whole word smaller."""
 
     name = "RL"
     domain = Tag.WORD_NAT
-    is_linear = True
 
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        for xe, ye in zip(x, y):
-            if xe != ye:
-                return LT if xe > ye else GT
-        return LT if len(x) < len(y) else GT
-
-    def sort_key(self, el):
+    @staticmethod
+    def _key(payload):
         # Negating entries turns the reversed entry order into Python's
         # tuple order while keeping prefixes smaller.
-        return tuple(-e for e in el.value)
+        return tuple(-e for e in payload)
 
 
-class BitLexOrder(Order):
-    """Lexicographic order on bit-words with prefixes smaller."""
+class BitLexOrder(LinearOrder):
+    """Lexicographic order on bit-words with prefixes smaller (Python's
+    tuple order)."""
 
     name = "LexBit"
     domain = Tag.WORD_BIT
-    is_linear = True
-
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        for xe, ye in zip(x, y):
-            if xe != ye:
-                return LT if xe < ye else GT
-        return LT if len(x) < len(y) else GT
-
-    def sort_key(self, el):
-        return el.value
 
 
 ORDER_NAMES = (

@@ -26,7 +26,7 @@ from orderchains.errors import (
     ParseError,
     WitnessIndexError,
 )
-from orderchains.orders import Order, Tag, make_element, make_order
+from orderchains.orders import DividesOrder, Order, Tag, make_element, make_order
 
 int_less = make_order("IntLess")
 divides = make_order("Divides")
@@ -90,9 +90,9 @@ def test_witness_is_lex_least():
     assert witness.indices == (0, 2)
 
 
-@pytest.mark.parametrize("method", ["generic", "alphabet", "ranked"])
+@pytest.mark.parametrize("method", ["generic"])
 def test_methods_agree_on_linear_orders(method):
-    "all internal paths give the same length and witness"
+    "the ranked index gives the reference scan's length and witness"
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 60)
@@ -103,27 +103,42 @@ def test_methods_agree_on_linear_orders(method):
         assert got_wit.indices == want_idx.indices
 
 
-def test_alphabet_method_on_partial_order():
-    "the matrix path handles incomparability too"
+class LinklessDivides(Order):
+    "Divisibility as an oracle outside the package would state it: no lower links"
+
+    name = "LinklessDivides"
+    domain = Tag.NAT
+    _compare = DividesOrder._compare
+
+
+def test_order_without_lower_links_matches_brute_force():
+    "an oracle with neither a sort key nor lower links gets the generic scan"
     rng = random.Random(11)
-    for _ in range(30):
-        seq = Sequence.from_payloads(
-            Tag.NAT, [rng.randint(1, 12) for _ in range(rng.randint(1, 50))]
-        )
-        want_len, want_wit = longest_chain(seq, divides, method="generic")
-        got_len, got_wit = longest_chain(seq, divides, method="alphabet")
-        assert got_len == want_len
-        assert got_wit.indices == want_wit.indices
+    for strict in (True, False):
+        order = LinklessDivides(strict)
+        for _ in range(30):
+            seq = Sequence.from_payloads(Tag.NAT, [rng.randint(1, 12) for _ in range(rng.randint(1, 9))])
+            length, witness = longest_chain(seq, order)
+            assert (length, witness.indices) == brute_longest_chain(seq, order)
 
 
-def test_ranked_method_requires_linear():
-    with pytest.raises(LinearityError):
-        longest_chain(Sequence.from_payloads(Tag.NAT, [1, 2]), divides, method="ranked")
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_longest_chain_checks_domain(method):
+    "a sequence from another domain is refused, a single term included"
+    rationals = Sequence.from_payloads(Tag.RATIONAL, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+    with pytest.raises(DomainMismatchError):
+        longest_chain(rationals, int_less, method=method)
+    with pytest.raises(DomainMismatchError):
+        longest_chain(Sequence.from_payloads(Tag.NAT, [4]), int_less, method=method)
+    with pytest.raises(DomainMismatchError):
+        longest_chain(int_seq([2, 4]), divides, method=method)
 
 
 def test_unknown_method():
-    with pytest.raises(ParseError):
-        longest_chain(int_seq([1]), int_less, method="fast")
+    "only auto and the generic reference can be named"
+    for method in ["fast", "alphabet", "ranked"]:
+        with pytest.raises(ParseError):
+            longest_chain(int_seq([1]), int_less, method=method)
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=9))
@@ -172,14 +187,13 @@ ORACLE_CASES = {
 @given(data=st.data())
 @settings(max_examples=60)
 def test_every_method_matches_brute_force(case, strict, data):
-    "each index, forced or chosen, gives the exhaustive length and witness"
+    "the chosen index and the generic scan give the exhaustive length and witness"
     tag, values = ORACLE_CASES[case]
     order = make_order(case.split("-")[0], strict=strict, tag=tag)
     payloads = data.draw(st.lists(values, min_size=1, max_size=9))
     seq = Sequence.from_payloads(order.domain, payloads)
     want = brute_longest_chain(seq, order)
-    methods = ["generic", "alphabet", "auto"] + (["ranked"] if order.is_linear else [])
-    for method in methods:
+    for method in ["generic", "auto"]:
         length, witness = longest_chain(seq, order, method=method)
         assert (length, witness.indices) == want, method
 
@@ -223,7 +237,7 @@ def test_linked_index_deep_prefix_chain():
 
 
 def test_base_order_has_no_lower_links():
-    "an oracle outside the package keeps the value scan"
+    "an oracle outside the package falls back to the generic scan"
     assert Order().lower_links([1, 2, 3]) is None
 
 
@@ -248,6 +262,13 @@ def test_patience_matches_dp_non_strict(payloads):
 def test_patience_needs_linear_order():
     with pytest.raises(LinearityError):
         patience_chain_length(Sequence.from_payloads(Tag.NAT, [1, 2]), divides)
+
+
+def test_patience_checks_domain():
+    "a rational sequence is refused by the integer oracle"
+    rationals = Sequence.from_payloads(Tag.RATIONAL, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+    with pytest.raises(DomainMismatchError):
+        patience_chain_length(rationals, int_less)
 
 
 def test_verify_witness_rejects_bad_indices():

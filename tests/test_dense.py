@@ -25,6 +25,7 @@ from orderchains.dense import (
 )
 from orderchains.encodings import word_to_dyadic
 from orderchains.errors import (
+    DomainMismatchError,
     DuplicateElementError,
     LinearityError,
     SchemeError,
@@ -318,6 +319,13 @@ def test_dense_embed_reproduces_word_images():
 def test_dense_embed_requires_linear_order():
     with pytest.raises(LinearityError):
         dense_embed([], make_order("Divides"), dyadic_stream())
+
+
+def test_dense_embed_checks_domain():
+    "a rational among integers is refused by the integer oracle"
+    elems = [make_element(Tag.INT, 0), make_element(Tag.RATIONAL, F(1, 2))]
+    with pytest.raises(DomainMismatchError):
+        dense_embed(elems, make_order("IntLess"), dyadic_stream())
 
 
 def test_dense_embed_rejects_duplicates():

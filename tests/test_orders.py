@@ -109,6 +109,29 @@ def test_reverse_lex_verdicts(a, b, want):
     assert order.compare(ea, eb) is want
 
 
+@pytest.mark.parametrize(
+    "name,tag,a,b,want",
+    [
+        ("IntLess", Tag.INT, -3, 2, LT),
+        ("IntLess", Tag.INT, 2, -3, GT),
+        ("IntLess", Tag.INT, 7, 7, EQ),
+        ("RatLess", Tag.RATIONAL, Fraction(1, 3), Fraction(1, 2), LT),
+        ("RatLess", Tag.RATIONAL, Fraction(2, 3), Fraction(1, 2), GT),
+        ("RatLess", Tag.RATIONAL, Fraction(2, 4), Fraction(1, 2), EQ),
+        ("LexBit", Tag.WORD_BIT, (), (0,), LT),
+        ("LexBit", Tag.WORD_BIT, (0, 1), (0,), GT),
+        ("LexBit", Tag.WORD_BIT, (0, 1, 1), (1,), LT),
+        ("LexBit", Tag.WORD_BIT, (1, 0), (0, 1, 1), GT),
+        ("LexBit", Tag.WORD_BIT, (1, 0), (1, 0), EQ),
+    ],
+)
+def test_linear_order_verdicts(name, tag, a, b, want):
+    "the native orders: numbers by size, bit-words lexicographically with prefixes first"
+    order = make_order(name)
+    ea, eb = elems(tag, [a, b])
+    assert order.compare(ea, eb) is want
+
+
 def test_reverse_lex_filler_chain():
     "1^n 0 words descend as n grows"
     order = make_order("RL")
