@@ -5,10 +5,11 @@ values are related under the oracle; relatedness is only required
 between neighbours, not pairwise.  ``longest_chain`` computes, from the
 right, the longest chain ``starts[i]`` starting at each position, then
 rebuilds the lexicographically least witness.  The oracle alone picks
-the index over the v distinct values that finds the best later start:
+the index that finds the best later start:
 
-* ``ranked``: linear oracles.  A Fenwick tree of prefix maxima over the
-  values' sort-key ranks, O(n log n) in all.
+* ``ranked``: linear oracles.  One sort of the positions by sort key
+  gives each a dense rank, then one right-to-left patience pass with
+  binary search over the ranks gives every start, O(n log n) in all.
 * ``linked``: oracles whose ``lower_links`` lists the values below each
   value (the prefix orders, Divides, Delta).  Each new start is pushed
   down the links into the best start above every lower value, O(n +
@@ -90,12 +91,14 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     """Length and witness of the longest chain in y under the oracle.
 
     Among maximum-length chains the witness has the lexicographically
-    least index vector.  By default the oracle picks the index over the
-    v distinct values: ``ranked`` (O(n log n)) for linear oracles, the
-    lower-link index (O(n + v log v) plus pushes bounded by n times the
-    link depth) for oracles whose ``lower_links`` is not None, and the
-    O(n^2) generic scan for the rest.  ``method="generic"`` forces that
-    scan, the reference the other indexes are tested against.
+    least index vector.  By default the oracle picks the index:
+    ``ranked`` for linear oracles (one sort of the n positions into
+    dense ranks, then a patience pass with binary search, O(n log n)),
+    the lower-link index over the v distinct values (O(n + v log v) plus
+    pushes bounded by n times the link depth) for oracles whose
+    ``lower_links`` is not None, and the O(n^2) generic scan for the
+    rest.  ``method="generic"`` forces that scan, the reference the
+    other indexes are tested against.
     """
     items = y.items
     n = len(items)
@@ -112,11 +115,10 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     if method == "generic":
         starts = _suffix_lengths_generic(items, order)
     elif order.is_linear:
-        ids, distinct = _value_ids(items)
-        starts, rel = _suffix_lengths_ranked(ids, distinct, order)
+        starts, rel = _suffix_lengths_ranked(items, order)
     else:
         ids, distinct = _value_ids(items)
-        links = order.lower_links([el.value for el in distinct])
+        links = order.lower_links(distinct)
         if links is None:
             starts = _suffix_lengths_generic(items, order)
         else:
@@ -138,16 +140,17 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
 
 def _value_ids(items):
-    """Map each position to a dense id over the distinct values, and list
-    the first element holding each value."""
+    """Map each position to a dense id over the distinct payloads, and
+    list those payloads in order of first occurrence."""
     seen: dict[object, int] = {}
     ids = []
     distinct = []
     for el in items:
-        vid = seen.get(el.value)
+        value = el.value
+        vid = seen.get(value)
         if vid is None:
-            vid = seen[el.value] = len(distinct)
-            distinct.append(el)
+            vid = seen[value] = len(distinct)
+            distinct.append(value)
         ids.append(vid)
     return ids, distinct
 
@@ -188,33 +191,36 @@ def _suffix_lengths_linked(ids, links, strict):
     return starts
 
 
-def _suffix_lengths_ranked(ids, distinct, order):
-    keys = [order.sort_key(el) for el in distinct]
-    v = len(keys)
-    # Slot v - rank puts the values above a rank in a prefix of the
-    # Fenwick tree, whose nodes hold prefix maxima of starts.
-    slot_of_id = [0] * v
-    for rank, vid in enumerate(sorted(range(v), key=keys.__getitem__)):
-        slot_of_id[vid] = v - rank
-    slots = [slot_of_id[vid] for vid in ids]
+def _suffix_lengths_ranked(items, order):
+    n = len(items)
+    keys = list(map(order.sort_key, items))
+    # A position's slot is minus the dense rank of its key: equal keys
+    # share a slot and larger values get smaller ones, so a chain read
+    # right to left climbs in slots.
+    slots = [0] * n
+    slot = 0
+    prev = object()
+    for i in sorted(range(n), key=keys.__getitem__):
+        key = keys[i]
+        if key != prev:
+            slot -= 1
+            prev = key
+        slots[i] = slot
+    # Patience pass from the right: tails[k] is the least slot that ends
+    # a climb of length k + 1 so far, and the insertion point of a slot
+    # is the length of the longest climb it extends.
     strict = order.strict
-    tree = [0] * (v + 1)
-    starts = [1] * len(ids)
-    for i in range(len(ids) - 1, -1, -1):
+    find = bisect.bisect_left if strict else bisect.bisect_right
+    tails: list[int] = []
+    starts = [1] * n
+    for i in range(n - 1, -1, -1):
         slot = slots[i]
-        k = slot - 1 if strict else slot
-        top = 0
-        while k:
-            if tree[k] > top:
-                top = tree[k]
-            k &= k - 1
-        top += 1
-        starts[i] = top
-        # Each node covers its child's range, so once one holds top,
-        # every node above it does too.
-        while slot <= v and tree[slot] < top:
-            tree[slot] = top
-            slot += slot & -slot
+        pos = find(tails, slot)
+        if pos == len(tails):
+            tails.append(slot)
+        else:
+            tails[pos] = slot
+        starts[i] = pos + 1
 
     def rel(i, j):
         return slots[j] < slots[i] if strict else slots[j] <= slots[i]
@@ -266,10 +272,11 @@ def constant_subsequence(y: Sequence) -> tuple[Element, int]:
     whose first occurrence is earliest."""
     if len(y) == 0:
         raise EmptySequenceError("constant_subsequence needs a non-empty sequence")
-    counts = Counter(y.items)
+    # A Sequence holds one tag, so equal payloads mean equal elements.
+    counts = Counter(el.value for el in y.items)
     best = max(counts.values())
     for el in y.items:
-        if counts[el] == best:
+        if counts[el.value] == best:
             return el, best
     raise AssertionError("unreachable")
 

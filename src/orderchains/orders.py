@@ -12,9 +12,10 @@ by it.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from .errors import DomainMismatchError, ParseError
 from .words import (
@@ -283,6 +284,18 @@ class RatLessOrder(LinearOrder):
     name = "RatLess"
     domain = Tag.RATIONAL
 
+    @staticmethod
+    def _key(payload):
+        # Exact: int / int is correctly rounded and rounding is monotone,
+        # so x < y gives f(x) <= f(y), and (f(x), x) orders as x does.
+        # Sorts compare C floats and consult the Fraction only on a float
+        # tie, which covers -0.0 == 0.0 and the +-inf of an overflow.
+        try:
+            f = payload.numerator / payload.denominator
+        except OverflowError:
+            f = inf if payload.numerator > 0 else -inf
+        return (f, payload)
+
 
 class PrefixOrder(Order):
     """Initial-segment order on words: a below b iff a is a prefix of b."""
@@ -335,7 +348,7 @@ class ReverseLexOrder(LinearOrder):
     def _key(payload):
         # Negating entries turns the reversed entry order into Python's
         # tuple order while keeping prefixes smaller.
-        return tuple(-e for e in payload)
+        return tuple(map(operator.neg, payload))
 
 
 class BitLexOrder(LinearOrder):

@@ -1,8 +1,20 @@
-"""Independent brute-force oracles the test suite checks against."""
+"""Independent brute-force oracles the test suite checks against, and
+shared input strategies."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+import hypothesis.strategies as st
+
+# Rationals whose floats tie: 1/3 plus small multiples of 2**-60 round
+# to one float, 10**400 and beyond overflow to +-inf, and 10**-400 and
+# below underflow to 0.0 or -0.0.
+colliding_rationals = st.one_of(
+    st.integers(-3, 3).map(lambda k: Fraction(1, 3) + k * Fraction(1, 2**60)),
+    st.builds(lambda sign, k: sign * Fraction(10**400 + k), st.sampled_from([-1, 1]), st.integers(0, 2)),
+    st.builds(lambda sign, k: sign * Fraction(1 + k, 10**400), st.sampled_from([-1, 1]), st.integers(0, 2)),
+)
 
 
 def brute_longest_chain(seq, order):

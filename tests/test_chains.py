@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import brute_longest_chain
+from helpers import brute_longest_chain, colliding_rationals
 from orderchains.chains import (
     Sequence,
     constant_subsequence,
@@ -239,6 +239,44 @@ def test_linked_index_deep_prefix_chain():
 def test_base_order_has_no_lower_links():
     "an oracle outside the package falls back to the generic scan"
     assert Order().lower_links([1, 2, 3]) is None
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@given(payloads=st.lists(colliding_rationals, min_size=1, max_size=9))
+@settings(max_examples=100)
+def test_ratless_float_ties_match_brute_force(strict, payloads):
+    "rationals that tie as floats keep their exact order in the chain search"
+    order = make_order("RatLess", strict=strict)
+    seq = Sequence.from_payloads(Tag.RATIONAL, payloads)
+    length, witness = longest_chain(seq, order)
+    assert (length, witness.indices) == brute_longest_chain(seq, order)
+    assert patience_chain_length(seq, order) == length
+
+
+# Linear oracles with payloads that give both repeats (dense-rank ties)
+# and long chains in sequences of up to 60 terms.
+RANKED_CASES = {
+    "IntLess-few": st.integers(-3, 3),
+    "IntLess-huge": st.integers(-(10**20), 10**20),
+    "RatLess": st.fractions(min_value=-1, max_value=1, max_denominator=8),
+    "RatLess-float-ties": colliding_rationals,
+    "RL": st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    "LexBit": st.lists(st.integers(0, 1), max_size=5).map(tuple),
+}
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("case", sorted(RANKED_CASES))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_ranked_index_matches_generic(case, strict, data):
+    "the ranked patience pass gives the generic scan's length and witness"
+    order = make_order(case.split("-")[0], strict=strict)
+    payloads = data.draw(st.lists(RANKED_CASES[case], min_size=1, max_size=60))
+    seq = Sequence.from_payloads(order.domain, payloads)
+    length, witness = longest_chain(seq, order)
+    want_len, want_wit = longest_chain(seq, order, method="generic")
+    assert (length, witness.indices) == (want_len, want_wit.indices)
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16), min_size=1, max_size=60))

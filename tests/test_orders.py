@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from helpers import colliding_rationals
 from orderchains.errors import DomainMismatchError, ParseError
 from orderchains.orders import (
     EQ,
@@ -123,6 +124,15 @@ def test_reverse_lex_verdicts(a, b, want):
         ("LexBit", Tag.WORD_BIT, (0, 1, 1), (1,), LT),
         ("LexBit", Tag.WORD_BIT, (1, 0), (0, 1, 1), GT),
         ("LexBit", Tag.WORD_BIT, (1, 0), (1, 0), EQ),
+        # Equal as floats: the key falls through to the Fraction.
+        ("RatLess", Tag.RATIONAL, Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**60), LT),
+        ("RatLess", Tag.RATIONAL, Fraction(1, 3) + Fraction(1, 2**60), Fraction(1, 3), GT),
+        # Too large for a float: both sides are +-inf.
+        ("RatLess", Tag.RATIONAL, Fraction(10**400), Fraction(10**400 + 1), LT),
+        ("RatLess", Tag.RATIONAL, Fraction(-(10**400) - 1), Fraction(-(10**400)), LT),
+        # Too small for a float: 0.0, and -0.0 == 0.0.
+        ("RatLess", Tag.RATIONAL, Fraction(1, 10**400), Fraction(2, 10**400), LT),
+        ("RatLess", Tag.RATIONAL, Fraction(-1, 10**400), Fraction(1, 10**400), LT),
     ],
 )
 def test_linear_order_verdicts(name, tag, a, b, want):
@@ -170,6 +180,17 @@ def test_int_less_matches_python(a, b):
     ea, eb = elems(Tag.INT, [a, b])
     verdict = order.compare(ea, eb)
     assert verdict is (EQ if a == b else LT if a < b else GT)
+
+
+@given(colliding_rationals, colliding_rationals)
+def test_rat_less_matches_python_on_float_ties(a, b):
+    "the rational oracle and its key keep the exact order where floats tie"
+    order = make_order("RatLess")
+    ea, eb = elems(Tag.RATIONAL, [a, b])
+    want = EQ if a == b else LT if a < b else GT
+    assert order.compare(ea, eb) is want
+    ka, kb = order.sort_key(ea), order.sort_key(eb)
+    assert (ka < kb, ka == kb) == (a < b, a == b)
 
 
 def test_domain_mismatch_raises():
