@@ -1,5 +1,16 @@
 """Chain detection in finite sequences.
 
+A ``Sequence`` is a domain tag and one tuple of payloads.  Payloads are
+validated once, where data enters: ``Sequence(tag, elements)`` checks
+each element's tag, and ``Sequence.from_payloads`` and
+``parse_sequence`` check the payloads in bulk.  Sequences the library
+derives from checked ones (``reduce_tree``, ``lift_map``,
+``UPSequence.unroll``) are built from payloads with no second check.
+``items`` gives the terms as ``Element`` objects, built on first use and
+kept, for callers that want them.  The chain functions read payloads
+and build an ``Element`` only for a term they return or hand to the
+oracle.
+
 A chain witness is a strictly increasing index vector whose consecutive
 values are related under the oracle; relatedness is only required
 between neighbours, not pairwise.  ``longest_chain`` computes, from the
@@ -27,6 +38,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DomainMismatchError,
@@ -35,32 +47,70 @@ from .errors import (
     ParseError,
     WitnessIndexError,
 )
-from .orders import Element, Order, Tag, format_element, make_element, parse_element
+from .orders import (
+    Element,
+    Order,
+    Tag,
+    format_element,
+    format_payload,
+    parse_payload,
+    validate_payloads,
+)
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """A finite sequence of elements sharing one domain tag."""
+    """A finite sequence of payloads sharing one domain tag.
 
-    tag: Tag
-    items: tuple[Element, ...]
+    ``Sequence(tag, elements)`` takes ``Element`` objects and raises
+    ``DomainMismatchError`` on one of another tag; ``from_payloads``
+    takes raw payloads.  Two sequences are equal exactly when their tags
+    and payloads are.
+    """
 
-    def __post_init__(self):
-        for el in self.items:
-            if el.tag is not self.tag:
+    __slots__ = ("_tag", "_payloads", "_items")
+
+    def __init__(self, tag: Tag, items):
+        items = tuple(items)
+        for el in items:
+            if el.tag is not tag:
                 raise DomainMismatchError(
-                    f"sequence tagged {self.tag.value} contains a {el.tag.value} element"
+                    f"sequence tagged {tag.value} contains a {el.tag.value} element"
                 )
+        self._tag = tag
+        self._payloads = tuple(el.value for el in items)
+        self._items = items
 
     @classmethod
     def from_payloads(cls, tag: Tag, payloads) -> "Sequence":
-        return cls(tag, tuple(make_element(tag, p) for p in payloads))
+        """Check raw payloads in bulk, as ``validate_payloads`` does."""
+        return cls._trusted(tag, validate_payloads(tag, payloads))
+
+    @classmethod
+    def _trusted(cls, tag: Tag, payloads: tuple) -> "Sequence":
+        """A sequence of payloads already known to be valid for ``tag``."""
+        seq = object.__new__(cls)
+        seq._tag = tag
+        seq._payloads = payloads
+        seq._items = None
+        return seq
+
+    @property
+    def tag(self) -> Tag:
+        return self._tag
+
+    @property
+    def items(self) -> tuple[Element, ...]:
+        """The terms as elements, built on first use and kept."""
+        if self._items is None:
+            tag = self._tag
+            self._items = tuple(Element(tag, p) for p in self._payloads)
+        return self._items
 
     def payloads(self) -> tuple:
-        return tuple(el.value for el in self.items)
+        return self._payloads
 
     def __len__(self):
-        return len(self.items)
+        return len(self._payloads)
 
     def __iter__(self):
         return iter(self.items)
@@ -68,15 +118,26 @@ class Sequence:
     def __getitem__(self, i):
         return self.items[i]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tag is other._tag and self._payloads == other._payloads
+
+    def __hash__(self):
+        return hash((self._tag, self._payloads))
+
+    def __repr__(self):
+        return f"Sequence(tag={self._tag!r}, payloads={self._payloads!r})"
+
 
 def parse_sequence(text: str, tag: Tag) -> Sequence:
     """Parse whitespace-separated element tokens."""
-    tokens = text.split()
-    return Sequence(tag, tuple(parse_element(t, tag) for t in tokens))
+    return Sequence.from_payloads(tag, [parse_payload(t, tag) for t in text.split()])
 
 
 def format_sequence(seq: Sequence) -> str:
-    return " ".join(format_element(el) for el in seq)
+    tag = seq.tag
+    return " ".join(format_payload(tag, p) for p in seq.payloads())
 
 
 @dataclass(frozen=True)
@@ -100,27 +161,38 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     rest.  ``method="generic"`` forces that scan, the reference the
     other indexes are tested against.
     """
-    items = y.items
-    n = len(items)
+    payloads = y.payloads()
+    n = len(payloads)
     if n == 0:
         raise EmptySequenceError("longest_chain needs a non-empty sequence")
     if method not in ("auto", "generic"):
         raise ParseError(f"unknown longest_chain method {method!r}")
     # A Sequence holds one tag, so one check covers every term.
-    order.check_element(items[0])
+    tag = y.tag
+    order.check_tag(tag)
+
+    # The witness rebuild hands the oracle elements: each candidate is
+    # built once, when first compared, and the chosen ones are kept.
+    built: dict[int, Element] = {}
+
+    def element(i):
+        el = built.get(i)
+        if el is None:
+            el = built[i] = Element(tag, payloads[i])
+        return el
 
     def rel(i, j):
-        return order.related(items[i], items[j])
+        return order.related(element(i), element(j))
 
     if method == "generic":
-        starts = _suffix_lengths_generic(items, order)
+        starts = _suffix_lengths_generic(y.items, order)
     elif order.is_linear:
-        starts, rel = _suffix_lengths_ranked(items, order)
+        starts, rel = _suffix_lengths_ranked(payloads, order)
     else:
-        ids, distinct = _value_ids(items)
+        ids, distinct = _value_ids(payloads)
         links = order.lower_links(distinct)
         if links is None:
-            starts = _suffix_lengths_generic(items, order)
+            starts = _suffix_lengths_generic(y.items, order)
         else:
             starts = _suffix_lengths_linked(ids, links, order.strict)
 
@@ -135,18 +207,17 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
             need -= 1
             if need == 0:
                 break
-    witness = ChainWitness(tuple(indices), tuple(items[i] for i in indices))
+    witness = ChainWitness(tuple(indices), tuple(map(element, indices)))
     return best, witness
 
 
-def _value_ids(items):
+def _value_ids(payloads):
     """Map each position to a dense id over the distinct payloads, and
     list those payloads in order of first occurrence."""
     seen: dict[object, int] = {}
     ids = []
     distinct = []
-    for el in items:
-        value = el.value
+    for value in payloads:
         vid = seen.get(value)
         if vid is None:
             vid = seen[value] = len(distinct)
@@ -191,9 +262,9 @@ def _suffix_lengths_linked(ids, links, strict):
     return starts
 
 
-def _suffix_lengths_ranked(items, order):
-    n = len(items)
-    keys = list(map(order.sort_key, items))
+def _suffix_lengths_ranked(payloads, order):
+    n = len(payloads)
+    keys = order.sort_keys(payloads)
     # A position's slot is minus the dense rank of its key: equal keys
     # share a slot and larger values get smaller ones, so a chain read
     # right to left climbs in slots.
@@ -234,11 +305,10 @@ def patience_chain_length(y: Sequence, order: Order) -> int:
         raise LinearityError(f"patience sorting needs a linear oracle, got {order.name}")
     if len(y) == 0:
         raise EmptySequenceError("patience_chain_length needs a non-empty sequence")
-    order.check_element(y.items[0])
+    order.check_tag(y.tag)
     find = bisect.bisect_left if order.strict else bisect.bisect_right
     tails: list = []
-    for el in y.items:
-        key = order.sort_key(el)
+    for key in order.sort_keys(y.payloads()):
         pos = find(tails, key)
         if pos == len(tails):
             tails.append(key)
@@ -261,8 +331,9 @@ def verify_witness(indices, y: Sequence, order: Order) -> bool:
     for a, b in zip(idx, idx[1:]):
         if not a < b:
             return False
+    items = y.items
     for a, b in zip(idx, idx[1:]):
-        if not order.related(y[a], y[b]):
+        if not order.related(items[a], items[b]):
             return False
     return True
 
@@ -272,13 +343,10 @@ def constant_subsequence(y: Sequence) -> tuple[Element, int]:
     whose first occurrence is earliest."""
     if len(y) == 0:
         raise EmptySequenceError("constant_subsequence needs a non-empty sequence")
-    # A Sequence holds one tag, so equal payloads mean equal elements.
-    counts = Counter(el.value for el in y.items)
-    best = max(counts.values())
-    for el in y.items:
-        if counts[el.value] == best:
-            return el, best
-    raise AssertionError("unreachable")
+    # Counter keeps first-occurrence order, and max keeps the first of
+    # equal counts.
+    value, best = max(Counter(y.payloads()).items(), key=itemgetter(1))
+    return Element(y.tag, value), best
 
 
 @dataclass(frozen=True)
@@ -296,7 +364,9 @@ class UPSequence:
 
     def unroll(self, copies: int) -> Sequence:
         """Prefix followed by the cycle repeated ``copies`` times."""
-        return Sequence(self.prefix.tag, self.prefix.items + self.cycle.items * copies)
+        return Sequence._trusted(
+            self.prefix.tag, self.prefix.payloads() + self.cycle.payloads() * copies
+        )
 
 
 def parse_up_sequence(text: str, tag: Tag) -> UPSequence:
@@ -331,9 +401,9 @@ def cycle_witness(up: UPSequence, order: Order) -> list[Element] | None:
     non-strict reading it is reflexive, so the first cycle value is a
     self-loop.
     """
-    first = up.cycle.items[0]
-    order.check_element(first)
-    return None if order.strict else [first]
+    cycle = up.cycle
+    order.check_tag(cycle.tag)
+    return None if order.strict else [Element(cycle.tag, cycle.payloads()[0])]
 
 
 def format_witness(witness: ChainWitness) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import chains, dense, encodings, orders, reductions, trees
 from .errors import OrderChainsError, ParseError
 from .orders import Tag
-from .words import format_bit_word, format_nat_word, parse_nat_word
+from .words import format_bit_word, parse_nat_word
 
 _TAG_CHOICES = {t.value: t for t in Tag}
 
@@ -32,36 +32,28 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _read_elements(path: str, tag: Tag) -> list[orders.Element]:
+def _read_tokens(path: str, parse, tag: Tag) -> list:
+    """``parse(token, tag)`` of every token in the file, errors located by line."""
     out = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         for token in line.split():
             try:
-                out.append(orders.parse_element(token, tag))
+                out.append(parse(token, tag))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
-    return chains.Sequence(tag, tuple(_read_elements(path, tag)))
+    return chains.Sequence.from_payloads(tag, _read_tokens(path, orders.parse_payload, tag))
 
 
 def _read_tree(path: str, mode: str) -> trees.FiniteTree:
-    words = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        token = line.strip()
-        if not token:
-            continue
-        try:
-            words.append(parse_nat_word(token))
-        except ParseError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return trees.validate_tree(words, mode=mode)
+    return trees.parse_tree_lines(_read_lines(path), mode=mode, source=path)
 
 
 def _read_rationals(path: str) -> list[Fraction]:
-    return [el.value for el in _read_elements(path, Tag.RATIONAL)]
+    return _read_tokens(path, orders.parse_payload, Tag.RATIONAL)
 
 
 def cmd_analyze(args) -> int:
@@ -80,7 +72,7 @@ def cmd_reduce(args) -> int:
     tree = _read_tree(args.tree, args.mode)
     pipeline = reductions.make_pipeline(args.target)
     image = pipeline.apply(reductions.reduce_tree(tree, args.horizon))
-    lines = [orders.format_element(el) for el in image]
+    lines = [orders.format_payload(image.tag, p) for p in image.payloads()]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write("\n".join(lines) + "\n")
@@ -191,7 +183,7 @@ def cmd_decide_up(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     order = _order_from_args(args)
-    support = _read_elements(args.support, order.domain)
+    support = _read_tokens(args.support, orders.parse_element, order.domain)
     axioms = tuple(args.axioms.split(",")) if args.axioms else None
     report = orders.check_axioms(order, support, axioms=axioms)
     print(report.describe())

@@ -37,7 +37,11 @@ def word_to_bits(word: Word) -> Word:
     is unambiguous and prefixes map exactly to prefixes.
     """
     codes = {e: double_bits(e) + (0, 1) for e in set(word)}
-    return tuple(chain.from_iterable(map(codes.__getitem__, word)))
+    # Through a list, the tuple is allocated once at its final size.  A
+    # long tuple grown straight from an iterator is reallocated step by
+    # step, and over a long loop of reductions that fragmented the heap:
+    # peak RSS kept rising.
+    return tuple(list(chain.from_iterable(map(codes.__getitem__, word))))
 
 
 def word_to_dyadic(word: Word) -> Fraction:

@@ -15,6 +15,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import inf, isqrt
 
 from .errors import DomainMismatchError, ParseError
@@ -41,6 +42,12 @@ class Tag(enum.Enum):
         return self.value
 
 
+# Looking up an enum member on its class costs a descriptor call on
+# Python 3.11, so the validators, parsers and formatters compare
+# against these.
+_NAT, _INT, _RATIONAL, _WORD_NAT, _WORD_BIT = Tag
+
+
 class Cmp(enum.Enum):
     LT = "LT"
     EQ = "EQ"
@@ -65,19 +72,19 @@ class Element:
 
     def __post_init__(self):
         tag, value = self.tag, self.value
-        if tag is Tag.NAT:
+        if tag is _NAT:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise DomainMismatchError(f"nat elements are integers >= 1, got {value!r}")
-        elif tag is Tag.INT:
+        elif tag is _INT:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DomainMismatchError(f"int elements are integers, got {value!r}")
-        elif tag is Tag.RATIONAL:
+        elif tag is _RATIONAL:
             if not isinstance(value, Fraction):
                 raise DomainMismatchError(f"rational elements are Fractions, got {value!r}")
-        elif tag is Tag.WORD_NAT:
+        elif tag is _WORD_NAT:
             if not _is_word(value):
                 raise DomainMismatchError(f"word elements are tuples of naturals, got {value!r}")
-        elif tag is Tag.WORD_BIT:
+        elif tag is _WORD_BIT:
             if not _is_word(value) or (value and max(value) > 1):
                 raise DomainMismatchError(f"bit-word elements are tuples over {{0,1}}, got {value!r}")
 
@@ -104,22 +111,55 @@ def make_element(tag: Tag, payload) -> Element:
     return Element(tag, payload)
 
 
-def parse_element(text: str, tag: Tag) -> Element:
-    """Parse one textual token for the given domain tag."""
+def validate_payloads(tag: Tag, payloads) -> tuple:
+    """The payloads as one tuple, each checked as ``make_element`` checks it.
+
+    Payloads of the exact native types (ints, ``Fraction``s, tuples of
+    ints) are checked in bulk.  Anything else takes the per-term path,
+    which normalises the spellings ``make_element`` accepts and raises
+    its error on the first bad payload.
+    """
+    values = tuple(payloads)
+    if _plain_payloads(tag, values):
+        return values
+    return tuple(make_element(tag, p).value for p in values)
+
+
+def _plain_payloads(tag: Tag, values: tuple) -> bool:
+    types = set(map(type, values))
+    if tag is _INT:
+        return types <= {int}
+    if tag is _NAT:
+        return types <= {int} and (not values or min(values) >= 1)
+    if tag is _RATIONAL:
+        return types <= {Fraction}
+    # Word tags.  A set of all entries is safe only once every entry is
+    # an exact int, since True and 1 are one set member.
+    if not types <= {tuple} or not set(map(type, chain.from_iterable(values))) <= {int}:
+        return False
+    entries = set(chain.from_iterable(values))
+    return not entries or (min(entries) >= 0 and (tag is not _WORD_BIT or max(entries) <= 1))
+
+
+def parse_payload(text: str, tag: Tag):
+    """Parse one textual token into a payload of the given domain tag.
+
+    Every payload it returns is valid for ``tag``.
+    """
     try:
-        if tag is Tag.NAT:
+        if tag is _NAT:
             value = int(text)
             if value < 1:
                 raise ParseError(f"naturals here exclude zero, got {text!r}")
-            return Element(tag, value)
-        if tag is Tag.INT:
-            return Element(tag, int(text))
-        if tag is Tag.RATIONAL:
-            return Element(tag, Fraction(text))
-        if tag is Tag.WORD_NAT:
-            return Element(tag, parse_nat_word(text))
-        if tag is Tag.WORD_BIT:
-            return Element(tag, parse_bit_word(text))
+            return value
+        if tag is _INT:
+            return int(text)
+        if tag is _RATIONAL:
+            return Fraction(text)
+        if tag is _WORD_NAT:
+            return parse_nat_word(text)
+        if tag is _WORD_BIT:
+            return parse_bit_word(text)
     except ParseError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -127,16 +167,25 @@ def parse_element(text: str, tag: Tag) -> Element:
     raise ParseError(f"unknown tag {tag!r}")
 
 
+def parse_element(text: str, tag: Tag) -> Element:
+    """Parse one textual token for the given domain tag."""
+    return Element(tag, parse_payload(text, tag))
+
+
+def format_payload(tag: Tag, payload) -> str:
+    """Render a payload in the same syntax parse_payload accepts."""
+    if tag is _RATIONAL:
+        return f"{payload.numerator}/{payload.denominator}"
+    if tag is _WORD_NAT:
+        return format_nat_word(payload)
+    if tag is _WORD_BIT:
+        return format_bit_word(payload)
+    return str(payload)
+
+
 def format_element(el: Element) -> str:
     """Render an element in the same syntax parse_element accepts."""
-    if el.tag is Tag.RATIONAL:
-        frac = el.value
-        return f"{frac.numerator}/{frac.denominator}"
-    if el.tag is Tag.WORD_NAT:
-        return format_nat_word(el.value)
-    if el.tag is Tag.WORD_BIT:
-        return format_bit_word(el.value)
-    return str(el.value)
+    return format_payload(el.tag, el.value)
 
 
 class Order:
@@ -167,8 +216,13 @@ class Order:
 
     def check_element(self, el: Element) -> None:
         if el.tag is not self.domain:
+            self.check_tag(el.tag)
+
+    def check_tag(self, tag: Tag) -> None:
+        """Raise DomainMismatchError unless ``tag`` is this oracle's domain."""
+        if tag is not self.domain:
             raise DomainMismatchError(
-                f"{self.name} compares {self.domain.value} elements, got {el.tag.value}"
+                f"{self.name} compares {self.domain.value} elements, got {tag.value}"
             )
 
     def sort_key(self, el: Element):
@@ -199,23 +253,26 @@ class Order:
 
 
 class LinearOrder(Order):
-    """Base of the linear oracles: the order is that of ``_key`` on payloads."""
+    """Base of the linear oracles: the order is that of ``_key`` on
+    payloads, or of the payloads themselves when ``_key`` is None."""
 
     is_linear = True
-
-    @staticmethod
-    def _key(payload):
-        return payload
+    _key = None
 
     def _compare(self, x, y):
-        kx, ky = self._key(x), self._key(y)
-        if kx == ky:
+        if self._key is not None:
+            x, y = self._key(x), self._key(y)
+        if x == y:
             return EQ
-        return LT if kx < ky else GT
+        return LT if x < y else GT
 
     def sort_key(self, el: Element):
         """Order-embedding key into Python comparisons."""
-        return self._key(el.value)
+        return el.value if self._key is None else self._key(el.value)
+
+    def sort_keys(self, payloads):
+        """``sort_key`` of every payload, by one pass of the key function."""
+        return payloads if self._key is None else list(map(self._key, payloads))
 
 
 class DividesOrder(Order):
@@ -347,8 +404,9 @@ class ReverseLexOrder(LinearOrder):
     @staticmethod
     def _key(payload):
         # Negating entries turns the reversed entry order into Python's
-        # tuple order while keeping prefixes smaller.
-        return tuple(map(operator.neg, payload))
+        # tuple order while keeping prefixes smaller.  The list sizes the
+        # tuple once (see encodings.word_to_bits).
+        return tuple(list(map(operator.neg, payload)))
 
 
 class BitLexOrder(LinearOrder):

@@ -350,6 +350,68 @@ def test_sequence_rejects_mixed_tags():
         Sequence(Tag.INT, (make_element(Tag.INT, 1), make_element(Tag.NAT, 1)))
 
 
+tags_and_payloads = st.tuples(
+    st.sampled_from([Tag.NAT, Tag.INT]), st.lists(st.integers(1, 3), max_size=4).map(tuple)
+)
+
+
+@given(tags_and_payloads, tags_and_payloads)
+def test_sequence_equality_is_tag_and_payloads(a, b):
+    "sequences are equal, with equal hashes, exactly when tags and payloads are"
+    sa, sb = Sequence.from_payloads(*a), Sequence.from_payloads(*b)
+    assert (sa == sb) == (a[0] is b[0] and a[1] == b[1])
+    if sa == sb:
+        assert hash(sa) == hash(sb)
+    built = Sequence(a[0], tuple(make_element(a[0], p) for p in a[1]))
+    assert built == sa and hash(built) == hash(sa)
+
+
+@pytest.mark.parametrize(
+    "tag,payloads",
+    [
+        (Tag.NAT, [3, 1, 3]),
+        (Tag.INT, [-2, 0, 10**20]),
+        (Tag.RATIONAL, [Fraction(1, 2), 3, "-1/4"]),
+        (Tag.WORD_NAT, [(), [2, 0], (1,)]),
+        (Tag.WORD_BIT, [(0, 1), (), [1, 0]]),
+    ],
+)
+def test_sequence_items_are_the_elements(tag, payloads):
+    "items, iteration and indexing give the Elements from_payloads used to build"
+    seq = Sequence.from_payloads(tag, payloads)
+    want = tuple(make_element(tag, p) for p in payloads)
+    assert seq.items == want
+    assert tuple(seq) == want
+    assert seq[1] == want[1] and seq[1:] == want[1:]
+    assert seq.payloads() == tuple(el.value for el in want)
+    assert len(seq) == len(want)
+
+
+@pytest.mark.parametrize(
+    "tag,bad",
+    [
+        (Tag.INT, True),
+        (Tag.NAT, False),
+        (Tag.NAT, 0),
+        (Tag.NAT, -4),
+        (Tag.WORD_NAT, 5),
+        (Tag.WORD_NAT, "ab"),
+        (Tag.WORD_NAT, (1, -1)),
+        (Tag.WORD_NAT, (0, True)),
+        (Tag.WORD_BIT, (0, 2)),
+        (Tag.RATIONAL, "x"),
+    ],
+)
+def test_from_payloads_rejects_like_make_element(tag, bad):
+    "the first bad payload raises make_element's error type and message"
+    good = make_element(tag, {Tag.RATIONAL: 1, Tag.WORD_NAT: (), Tag.WORD_BIT: ()}.get(tag, 1)).value
+    with pytest.raises(Exception) as want:
+        make_element(tag, bad)
+    with pytest.raises(type(want.value)) as got:
+        Sequence.from_payloads(tag, [good, bad, good])
+    assert str(got.value) == str(want.value)
+
+
 def test_parse_up_sequence():
     up = parse_up_sequence("2 | 2 4 8", Tag.NAT)
     assert up.prefix.payloads() == (2,)

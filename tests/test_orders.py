@@ -21,6 +21,7 @@ from orderchains.orders import (
     make_element,
     make_order,
     parse_element,
+    validate_payloads,
 )
 
 nat_words = st.lists(st.integers(0, 5), max_size=5).map(tuple)
@@ -276,6 +277,38 @@ def test_word_element_validation(tag, payload, nat_ok, bit_ok):
     else:
         with pytest.raises(DomainMismatchError):
             Element(tag, payload)
+
+
+# Payloads of every kind the per-term path sees: exact types, bools, int
+# subclasses, negatives, floats, strings, non-iterables and words.
+BULK_PAYLOADS = [p for p, _, _ in WORD_PAYLOADS] + [
+    0, 1, 7, -3, 10**30, _SubInt(4), _Bit.ONE, 0.5, Fraction(3, 4), Fraction(2), "1/2", "x", [], (0,),
+]
+
+
+def _per_term(tag, payloads):
+    "the reference: make_element on each payload in turn"
+    try:
+        return tuple(make_element(tag, p).value for p in payloads)
+    except Exception as exc:  # the test compares the error itself
+        return exc
+
+
+@pytest.mark.parametrize("tag", list(Tag))
+def test_validate_payloads_matches_make_element(tag):
+    "bulk validation accepts, normalises and rejects exactly as make_element does term by term"
+    good = {Tag.NAT: 2, Tag.INT: -2, Tag.RATIONAL: Fraction(1, 3), Tag.WORD_NAT: (3, 0), Tag.WORD_BIT: (1,)}[tag]
+    for payload in BULK_PAYLOADS:
+        for payloads in ([payload], [good, payload], [payload, good, payload], [good] * 3 + [payload]):
+            want = _per_term(tag, payloads)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as info:
+                    validate_payloads(tag, payloads)
+                assert str(info.value) == str(want)
+            else:
+                got = validate_payloads(tag, payloads)
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_rational_formats_as_fraction():

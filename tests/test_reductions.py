@@ -2,6 +2,7 @@
 
 import io
 from fractions import Fraction
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import hypothesis.strategies as st
 
 from orderchains.chains import Sequence, longest_chain
 from orderchains.errors import DomainMismatchError, ParseError
-from orderchains.orders import Tag, make_order
+from orderchains.orders import Element, Order, Tag, make_order
 from orderchains.reductions import (
     PIPELINE_NAMES,
     POINTWISE_MAPS,
@@ -189,3 +190,111 @@ def test_word_at_round_trip_in_reduction(n):
     el = image_at(tree, n)
     w = word_at(n)
     assert el.value == (w if w in tree else filler(n))
+
+
+nat_words = st.lists(st.integers(0, 40), max_size=8).map(tuple)
+
+
+@given(nat_words, st.integers(1, 10**30))
+@settings(max_examples=200)
+def test_pointwise_images_validate(word, n):
+    "every map sends a valid payload to a valid payload of its codomain, as lift_map trusts"
+    for pmap in POINTWISE_MAPS.values():
+        arg = n if pmap.domain is Tag.NAT else word
+        assert Element(pmap.codomain, pmap.fn(arg)).value == pmap.fn(arg)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_reduction_terms_validate(seed, horizon):
+    "every reduce_tree term, tree word or filler, and its lifts validate in their codomains"
+    tree = generate_tree(TreeGenSpec(seed=seed, node_cap=80))
+    image = reduce_tree(tree, horizon)
+    assert len(image) == horizon
+    for payload in image.payloads():
+        Element(Tag.WORD_NAT, payload)
+    for name in ("binary", "rational"):
+        lifted = lift_map(image, POINTWISE_MAPS[name])
+        for payload in lifted.payloads():
+            Element(lifted.tag, payload)
+
+
+def test_fuzz_trial_builds_no_element_per_term(monkeypatch):
+    "a trial builds an Element only for the witness and the candidates its rebuild hands the oracle"
+    counts = {"built": 0, "related": 0}
+    post_init, related = Element.__post_init__, Order.related
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counting_related(self, a, b):
+        counts["related"] += 1
+        return related(self, a, b)
+
+    monkeypatch.setattr(Element, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Order, "related", counting_related)
+    for name in PIPELINE_NAMES:
+        pipeline = make_pipeline(name)
+        for seed in range(8):
+            counts.update(built=0, related=0)
+            row = fuzz_reduction(pipeline, TreeGenSpec(seed=seed), 1, 200).rows[0]
+            if pipeline.order.is_linear:
+                # The ranked rebuild compares ranks: one Element per witness term.
+                assert counts == {"built": row.l_img, "related": 0}
+            else:
+                # Each candidate after the first is built once, for one oracle call.
+                assert counts["built"] == counts["related"] + 1
+                assert counts["built"] <= row.l_img + counts["related"]
+
+
+def _witness(name, image):
+    pipeline = make_pipeline(name)
+    length, witness = longest_chain(pipeline.apply(image), pipeline.order)
+    return length, witness.indices
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_encoded_pipelines_equal_their_sources(seed):
+    "binary equals subset and rational equals rl, in length and witness, on seeded trees"
+    tree = generate_tree(TreeGenSpec(seed=seed, node_cap=200))
+    image = reduce_tree(tree, 200)
+    assert _witness("binary", image) == _witness("subset", image)
+    assert _witness("rational", image) == _witness("rl", image)
+
+
+def _depth2_ternary_subtrees():
+    "every prefix-closed subtree of the depth-2 ternary tree that holds the root: 9**3 of them"
+    children = [None] + [frozenset(c) for k in range(4) for c in combinations(range(3), k)]
+    for picks in product(children, repeat=3):
+        words = [()]
+        for top, below in enumerate(picks):
+            if below is not None:
+                words.append((top,))
+                words.extend((top, b) for b in below)
+        yield validate_tree(words)
+
+
+def test_exhaustive_depth2_ternary_subtrees():
+    "small-scope check: on all 729 subtrees every pipeline meets its bracket and the equalities hold"
+    horizon = 40
+    trees = list(_depth2_ternary_subtrees())
+    assert len(set(t.nodes for t in trees)) == 729
+    assert max(index_of(w) for w in chain.from_iterable(t.nodes for t in trees)) < horizon
+    for tree in trees:
+        image = reduce_tree(tree, horizon)
+        l_tree = chain_bound_within_horizon(tree, horizon)
+        found = {}
+        for name in PIPELINE_NAMES:
+            found[name] = _witness(name, image)
+            assert make_pipeline(name).holds(l_tree, found[name][0]), (name, sorted(tree.nodes))
+        assert found["binary"] == found["subset"]
+        assert found["rational"] == found["rl"]
+
+
+def test_binary_pipeline_meets_the_upper_sandwich():
+    "the bit-word lift keeps the prefix target's [L, L + 1] bracket"
+    assert make_pipeline("binary").upper_sandwich
+    report = fuzz_reduction(make_pipeline("binary"), TreeGenSpec(seed=1), 20, 150)
+    assert report.ok
+    assert all(row.l_tree <= row.l_img <= row.l_tree + 1 for row in report.rows)
