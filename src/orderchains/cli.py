@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
-from .errors import OrderChainsError, ParseError
+from .errors import DuplicateElementError, OrderChainsError, ParseError
 from .orders import Tag
 from .words import format_bit_word, parse_nat_word
 
@@ -32,16 +32,33 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _read_tokens(path: str, parse, tag: Tag) -> list:
-    """``parse(token, tag)`` of every token in the file, errors located by line."""
+def _read_located(path: str, parse_line) -> list:
+    """``parse_line(tokens)`` of every non-blank line of the file, errors
+    located by line."""
     out = []
     for lineno, line in enumerate(_read_lines(path), start=1):
-        for token in line.split():
+        tokens = line.split()
+        if tokens:
             try:
-                out.append(parse(token, tag))
+                out.append(parse_line(tokens))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _read_tokens(path: str, parse, tag: Tag) -> list:
+    """``parse(token, tag)`` of every token in the file, errors located by line."""
+    lines = _read_located(path, lambda tokens: [parse(token, tag) for token in tokens])
+    return [value for line in lines for value in line]
+
+
+def _parse_interval(tokens: list[str]) -> tuple[Fraction, Fraction]:
+    if len(tokens) != 2:
+        raise ParseError("expected 'lo hi'")
+    try:
+        return Fraction(tokens[0]), Fraction(tokens[1])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
@@ -123,13 +140,23 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """Depth of the prefixes of 2, 4, 8, ... values and of all of them.
+
+    The depth of m distinct values is a closed form, so one pass for the
+    first repeat gives the whole table; the first prefix that holds the
+    repeat ends it with that repeat's error.
+    """
     values = _read_rationals(args.elements)
+    try:
+        dense.splitting_depth(values)
+        repeat = None
+    except DuplicateElementError as exc:
+        repeat = exc
     print("n depth")
-    n = 2
-    while n < len(values):
-        print(f"{n} {dense.splitting_depth(values[:n])}")
-        n *= 2
-    print(f"{len(values)} {dense.splitting_depth(values)}")
+    for n in [1 << k for k in range(1, (len(values) - 1).bit_length())] + [len(values)]:
+        if repeat is not None and n > repeat.index:
+            raise repeat
+        print(f"{n} {dense.distinct_splitting_depth(n)}")
     return 0
 
 
@@ -137,18 +164,7 @@ def cmd_cantor(args) -> int:
     if args.set == "cantor3":
         oracle = dense.MiddleThirds()
     else:
-        intervals = []
-        for lineno, line in enumerate(_read_lines(args.set), start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(f"{args.set}:{lineno}: expected 'lo hi'")
-            try:
-                intervals.append((Fraction(parts[0]), Fraction(parts[1])))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"{args.set}:{lineno}: {exc}") from exc
-        oracle = dense.FixedStages(intervals)
+        oracle = dense.FixedStages(_read_located(args.set, _parse_interval))
     scheme = dense.build_scheme(oracle, args.depth, resolution=args.resolution)
     for line in scheme.dump_lines():
         print(line)

@@ -9,11 +9,21 @@ endpoints whose successor interval starts inside the stream, one by
 selecting the earliest stream element inside each gap.  The remaining
 operations measure how densely ordered a finite rational set is and
 embed finite linear orders into countable dense targets.
+
+Values stay exact ``Fraction``s, but a ``Fraction`` hashes and compares
+in Python, so the hot paths key them instead.  Equality (repeats,
+membership) keys on the ``(numerator, denominator)`` pair, which is
+unique since ``Fraction``s are normalised and which hashes in C.  Order
+(sorts, bisects, widest gap) keys on ``orders.rational_key``, the
+``(float, Fraction)`` pair that reaches the ``Fraction`` only on a float
+tie.  The middle-thirds stages are integer numerators over 3^k until a
+stage is asked for.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -27,29 +37,50 @@ from .errors import (
     SearchBudgetError,
     StreamError,
 )
-from .orders import Element, Order
+from .orders import Element, Order, rational_key
 from .trees import word_at
 from .words import Word, format_bit_word
 
 Interval = tuple[Fraction, Fraction]
 
+# A scheme of depth d splits a stage of at least 2**(d + 1) components
+# and keeps 2**(d + 1) - 1 closed intervals and 2**d - 1 gaps.  At depth
+# 16 that is about 131 000 of each, and `cantor --depth 16` peaks near
+# 200 MB; every level deeper doubles that, so deeper schemes are refused
+# before any stage is built.
+MAX_DEPTH = 16
+
+
+def _identity(q: Fraction) -> tuple[int, int]:
+    """Equality key of a rational: normalised, so equal values share it."""
+    return (q.numerator, q.denominator)
+
 
 class MiddleThirds:
-    """Stage oracle for the classical middle-thirds set."""
+    """Stage oracle for the classical middle-thirds set.
+
+    Stage k is kept as the left numerators a of its intervals
+    [a, a + 1] / 3**k; the children of a are 3a and 3a + 2.  Stages
+    beyond ``MAX_DEPTH + 1`` (the finest a scheme can ask for) are
+    refused, since stage k has 2**k components.
+    """
 
     name = "cantor3"
 
     def __init__(self):
-        self._stages: list[tuple[Interval, ...]] = [((Fraction(0), Fraction(1)),)]
+        self._lefts: list[list[int]] = [[0]]
+        self._stages: dict[int, tuple[Interval, ...]] = {}
 
     def stage(self, k: int) -> tuple[Interval, ...]:
-        while len(self._stages) <= k:
-            nxt = []
-            for lo, hi in self._stages[-1]:
-                third = (hi - lo) / 3
-                nxt.append((lo, lo + third))
-                nxt.append((hi - third, hi))
-            self._stages.append(tuple(nxt))
+        if k > MAX_DEPTH + 1:
+            raise SchemeError(f"middle-thirds stage {k} has 2^{k} components, above the cap of 2^{MAX_DEPTH + 1}")
+        while len(self._lefts) <= k:
+            self._lefts.append([c for a in self._lefts[-1] for c in (3 * a, 3 * a + 2)])
+        # A negative k counts back from the finest stage built so far.
+        k = range(len(self._lefts))[k]
+        if k not in self._stages:
+            den = 3**k
+            self._stages[k] = tuple((Fraction(a, den), Fraction(a + 1, den)) for a in self._lefts[k])
         return self._stages[k]
 
 
@@ -105,10 +136,18 @@ def build_scheme(oracle, depth: int, resolution: int | None = None, max_resoluti
     every split can find a gap; with ``resolution`` unset the first
     sufficiently fine stage is used.  Ties between equally wide gaps go
     to the leftmost.  A split with no available gap raises, naming the
-    bit-word where the construction got stuck.
+    bit-word where the construction got stuck.  Depths above
+    ``MAX_DEPTH`` raise before any stage is built: they need a stage of
+    more than 2**(MAX_DEPTH + 1) components and as many intervals, more
+    than fits in memory.
+
+    Each gap's endpoints and width are keyed once.  Equal widths share
+    one key object, so a tie is settled by identity, in C.
     """
     if depth < 0:
         raise SchemeError("depth must be non-negative")
+    if depth > MAX_DEPTH:
+        raise SchemeError(f"depth {depth} is above the cap of {MAX_DEPTH}: it needs a stage of 2^{depth + 1} components")
     if resolution is None:
         k = 0
         while len(oracle.stage(k)) < 2 ** (depth + 1):
@@ -121,34 +160,42 @@ def build_scheme(oracle, depth: int, resolution: int | None = None, max_resoluti
     comps = list(oracle.stage(resolution))
     if not comps or comps[0][0] != 0 or comps[-1][1] != 1:
         raise SchemeError("stage representation must span [0, 1]")
-    gap_list: list[Interval] = []
-    for (_, hi), (lo, _) in zip(comps, comps[1:]):
-        if hi >= lo:
-            raise SchemeError("stage components must be disjoint and sorted")
-        gap_list.append((hi, lo))
-    gap_los = [g[0] for g in gap_list]
+    ends = [rational_key(x) for comp in comps for x in comp]
+    # Gap j runs from the right end of component j to the left end of j + 1.
+    lo_keys, hi_keys = ends[1:-1:2], ends[2::2]
+    if any(map(operator.ge, lo_keys, hi_keys)):
+        raise SchemeError("stage components must be disjoint and sorted")
+    widths = [b - a for (_, a), (_, b) in zip(lo_keys, hi_keys)]
+    interned: dict[tuple[int, int], tuple] = {}
+    width_keys = [interned.setdefault(_identity(w), rational_key(w)) for w in widths]
 
-    closed: dict[Word, Interval] = {(): (Fraction(0), Fraction(1))}
+    zero, one = Fraction(0), Fraction(1)
+    closed: dict[Word, Interval] = {(): (zero, one)}
     gaps: dict[Word, Interval] = {}
-    for d in range(depth):
-        for sigma in sorted(w for w in closed if len(w) == d):
-            lo, hi = closed[sigma]
-            best: Interval | None = None
-            start = bisect.bisect_left(gap_los, lo)
-            for g_lo, g_hi in gap_list[start:]:
-                if g_lo >= hi:
+    # The words of one depth in lexicographic order, with their keys: a
+    # failing split raises at the least failing word of the shallowest
+    # failing depth.
+    level = [((), rational_key(zero), rational_key(one))]
+    for _ in range(depth):
+        deeper = []
+        for sigma, lo_key, hi_key in level:
+            best = None
+            for j in range(bisect.bisect_left(lo_keys, lo_key), len(lo_keys)):
+                if lo_keys[j] >= hi_key:
                     break
-                if g_hi <= hi:
-                    if best is None or g_hi - g_lo > best[1] - best[0]:
-                        best = (g_lo, g_hi)
+                if hi_keys[j] <= hi_key and (best is None or width_keys[j] > width_keys[best]):
+                    best = j
             if best is None:
                 raise SchemeError(f"no stage gap inside C at {sigma}", sigma=sigma)
-            a, b = best
-            if not lo < a < b < hi:
+            a_key, b_key = lo_keys[best], hi_keys[best]
+            if not lo_key < a_key < b_key < hi_key:
                 raise SchemeError(f"degenerate split at {sigma}", sigma=sigma)
-            gaps[sigma] = best
+            lo, hi = closed[sigma]
+            a, b = gaps[sigma] = (a_key[1], b_key[1])
             closed[sigma + (0,)] = (lo, a)
             closed[sigma + (1,)] = (b, hi)
+            deeper += [(sigma + (0,), lo_key, a_key), (sigma + (1,), b_key, hi_key)]
+        level = deeper
     return IntervalScheme(depth, resolution, closed, gaps)
 
 
@@ -159,20 +206,23 @@ class CountableSetStream:
         self._fn = fn
         self.name = name
         self._cache: list[Fraction] = []
-        self._seen: dict[Fraction, int] = {}
+        self._seen: dict[tuple[int, int], int] = {}
 
     def value(self, i: int) -> Fraction:
         while len(self._cache) <= i:
             j = len(self._cache)
             try:
-                v = Fraction(self._fn(j))
+                v = self._fn(j)
             except IndexError as exc:
                 raise StreamError(f"{self.name} has no element {j}") from exc
-            if v < 0 or v > 1:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            num, den = v.numerator, v.denominator
+            if num < 0 or num > den:
                 raise StreamError(f"{self.name}[{j}] = {v} outside [0, 1]")
-            if v in self._seen:
-                raise StreamError(f"{self.name} repeats {v} at {self._seen[v]} and {j}")
-            self._seen[v] = j
+            first = self._seen.setdefault((num, den), j)
+            if first != j:
+                raise StreamError(f"{self.name} repeats {v} at {first} and {j}")
             self._cache.append(v)
         return self._cache[i]
 
@@ -181,7 +231,7 @@ class CountableSetStream:
 
 
 def stream_from_values(values: Iterable[Fraction], name: str = "file-stream") -> CountableSetStream:
-    vals = [Fraction(v) for v in values]
+    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
     return CountableSetStream(vals.__getitem__, name=name)
 
 
@@ -272,34 +322,31 @@ def prune_successor_endpoints(
     what makes it densely ordered once the stream has seen enough; the
     top word of each level has no successor and is never pruned.
     """
-    present = set(stream.prefix(n))
-    pruned = set(present)
+    present = {_identity(v): v for v in stream.prefix(n)}
+    dropped = set()
     for sigma, (_, hi) in scheme.closed.items():
         nxt = _successor(sigma)
-        if nxt is None:
-            continue
-        succ_lo = scheme.closed[nxt][0]
-        if succ_lo in present:
-            pruned.discard(hi)
-    return tuple(sorted(pruned))
+        if nxt is not None and _identity(scheme.closed[nxt][0]) in present:
+            dropped.add(_identity(hi))
+    return tuple(sorted((v for key, v in present.items() if key not in dropped), key=rational_key))
 
 
 def gap_selector(
     stream: CountableSetStream, scheme: IntervalScheme, n: int
 ) -> tuple[Fraction, ...]:
     """Earliest-enumerated stream element strictly inside each gap."""
-    chosen: dict[Word, Fraction] = {}
-    ordered = sorted(scheme.gaps.items(), key=lambda kv: kv[1][0])
-    gap_los = [iv[0] for _, iv in ordered]
+    chosen: dict[Word, tuple] = {}  # gap -> key of its value
+    ordered = sorted((rational_key(a), rational_key(b), sigma) for sigma, (a, b) in scheme.gaps.items())
+    lo_keys = [a for a, _, _ in ordered]
     for i in range(n):
-        x = stream.value(i)
-        pos = bisect.bisect_right(gap_los, x) - 1
+        x = rational_key(stream.value(i))
+        pos = bisect.bisect_right(lo_keys, x) - 1
         if pos < 0:
             continue
-        sigma, (a, b) = ordered[pos]
+        a, b, sigma = ordered[pos]
         if a < x < b and sigma not in chosen:
             chosen[sigma] = x
-    return tuple(sorted(chosen.values()))
+    return tuple(q for _, q in sorted(chosen.values()))
 
 
 def persistently_approaches(values, g: Fraction, anchors) -> bool:
@@ -326,15 +373,21 @@ def splitting_depth(elems) -> int:
     splits a run as evenly as possible, so the depth of a distance-d
     pair follows h(d) = 1 + h(d // 2) with h(1) = 0, that is
     h(d) = floor(log2 d).  The result is the maximum over all pairs,
-    i.e. h over the full span m - 1 of m values.
+    i.e. h over the full span m - 1 of m values.  A repeat raises
+    ``DuplicateElementError`` whose ``index`` is the first position
+    holding a value seen before.
     """
-    seen: set[Fraction] = set()
-    for v in elems:
-        v = Fraction(v)
-        if v in seen:
-            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {v} twice")
-        seen.add(v)
-    m = len(seen)
+    vals = [v if type(v) is Fraction else Fraction(v) for v in elems]
+    seen = set()
+    for i, key in enumerate(map(_identity, vals)):
+        if key in seen:
+            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {vals[i]} twice", index=i)
+        seen.add(key)
+    return distinct_splitting_depth(len(vals))
+
+
+def distinct_splitting_depth(m: int) -> int:
+    """``splitting_depth`` of any m distinct values: floor(log2(m - 1))."""
     return (m - 1).bit_length() - 1 if m >= 2 else 0
 
 

@@ -16,18 +16,15 @@ from .orders import LT, BitLexOrder
 from .words import Word, is_prefix
 
 _BIT_LEX = BitLexOrder()
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def double_bits(n: int) -> Word:
     """Binary digits of n with every bit doubled; 0 encodes to (0, 0)."""
     if n < 0:
         raise DomainMismatchError("double_bits is defined on the naturals")
-    out = []
-    for ch in format(n, "b"):
-        bit = int(ch)
-        out.append(bit)
-        out.append(bit)
-    return tuple(out)
+    doubled = format(n, "b").replace("0", "00").replace("1", "11")
+    return tuple(doubled.encode().translate(_DIGIT_BITS))
 
 
 def word_to_bits(word: Word) -> Word:

@@ -34,7 +34,12 @@ class ArgumentOrderError(OrderChainsError):
 
 
 class DuplicateElementError(OrderChainsError):
-    """An operation that needs pairwise distinct elements saw a repeat."""
+    """An operation that needs pairwise distinct elements saw a repeat,
+    at position ``index`` when the operation reports one."""
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class TreePrefixError(OrderChainsError):

@@ -335,23 +335,27 @@ class IntLessOrder(LinearOrder):
     domain = Tag.INT
 
 
+def rational_key(q: Fraction) -> tuple[float, Fraction]:
+    """Exact order key of a rational: ``(float, Fraction)``.
+
+    int / int is correctly rounded and rounding is monotone, so x < y
+    gives f(x) <= f(y), and (f(x), x) orders as x does.  Sorts, bisects
+    and ``max`` compare C floats and consult the Fraction only on a
+    float tie, which covers -0.0 == 0.0 and the +-inf of an overflow.
+    """
+    try:
+        f = q.numerator / q.denominator
+    except OverflowError:
+        f = inf if q.numerator > 0 else -inf
+    return (f, q)
+
+
 class RatLessOrder(LinearOrder):
     """The usual order on the rationals."""
 
     name = "RatLess"
     domain = Tag.RATIONAL
-
-    @staticmethod
-    def _key(payload):
-        # Exact: int / int is correctly rounded and rounding is monotone,
-        # so x < y gives f(x) <= f(y), and (f(x), x) orders as x does.
-        # Sorts compare C floats and consult the Fraction only on a float
-        # tie, which covers -0.0 == 0.0 and the +-inf of an overflow.
-        try:
-            f = payload.numerator / payload.denominator
-        except OverflowError:
-            f = inf if payload.numerator > 0 else -inf
-        return (f, payload)
+    _key = staticmethod(rational_key)
 
 
 class PrefixOrder(Order):

@@ -45,11 +45,24 @@ def parse_bit_word(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def format_bit_word(word: Word) -> str:
-    """Inverse of parse_bit_word."""
+    """Inverse of parse_bit_word.
+
+    Entries outside {0, 1} are written out with ``str``, one after
+    another, so such a word never renders as control characters.
+    """
     if not word:
         return EMPTY_TOKEN
-    return "".join(str(b) for b in word)
+    try:
+        raw = bytes(word)
+    except (TypeError, ValueError):  # an entry that is not a byte value
+        raw = None
+    if raw is None or max(raw) > 1:
+        return "".join(str(b) for b in word)
+    return raw.translate(_BIT_DIGITS).decode()
 
 
 def is_prefix(a: Word, b: Word) -> bool:

@@ -62,3 +62,69 @@ def brute_splitting_depth(elems):
 
     m = len(vals)
     return max(sd(i, j) for i in range(m) for j in range(i + 1, m))
+
+
+def ref_build_scheme(intervals, depth):
+    """Plain-``Fraction`` scheme over one fixed stage: ``(closed, gaps)``,
+    or ``(message, sigma)`` of the ``SchemeError`` the split raises.
+
+    Every split scans all stage gaps for those inside its interval and
+    keeps the first widest one.
+    """
+    comps = sorted((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
+    stage_gaps = [(hi, lo) for (_, hi), (lo, _) in zip(comps, comps[1:])]
+    closed = {(): (Fraction(0), Fraction(1))}
+    gaps = {}
+    for d in range(depth):
+        for sigma in sorted(w for w in closed if len(w) == d):
+            lo, hi = closed[sigma]
+            best = None
+            for a, b in stage_gaps:
+                if lo <= a and b <= hi and (best is None or b - a > best[1] - best[0]):
+                    best = (a, b)
+            if best is None:
+                return f"no stage gap inside C at {sigma}", sigma
+            a, b = best
+            if not lo < a < b < hi:
+                return f"degenerate split at {sigma}", sigma
+            gaps[sigma] = best
+            closed[sigma + (0,)] = (lo, a)
+            closed[sigma + (1,)] = (b, hi)
+    return closed, gaps
+
+
+def ref_prune_successor_endpoints(values, closed):
+    """The values minus every right endpoint whose same-length successor
+    word's interval starts at one of them, sorted."""
+    present = set(values)
+    kept = set(values)
+    for sigma, (_, hi) in closed.items():
+        n = int("".join(map(str, sigma)) or "0", 2) + 1
+        if sigma and n < 2 ** len(sigma):
+            succ = tuple(int(c) for c in format(n, f"0{len(sigma)}b"))
+            if closed[succ][0] in present:
+                kept.discard(hi)
+    return tuple(sorted(kept))
+
+
+def ref_gap_selector(values, gaps):
+    """For each gap, the first value strictly inside it; sorted."""
+    chosen = {}
+    for x in values:
+        for sigma, (a, b) in gaps.items():
+            if a < x < b and sigma not in chosen:
+                chosen[sigma] = x
+    return tuple(sorted(chosen.values()))
+
+
+def ref_double_bits(n):
+    """Per-bit definition: each binary digit of n, twice."""
+    out = []
+    for ch in format(n, "b"):
+        out += [int(ch), int(ch)]
+    return tuple(out)
+
+
+def ref_format_bit_word(word):
+    """Per-entry definition: ``str`` of every entry, joined; "e" if empty."""
+    return "".join(str(b) for b in word) if word else "e"

@@ -191,6 +191,79 @@ def test_cantor_extract_y(capsys, tmp_path):
     assert out.strip().endswith("1/2")
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "text, rows, seen",
+    [
+        # the 6th value repeats the 2nd: the 8-prefix is the first to hold it
+        ("1/3 1/2 3/4\n1/5 2/7 1/2 5/9 7/8 0 1\n", "n depth\n2 0\n4 1\n", "1/2"),
+        # the repeat is the last value: the full-list row is the one that fails
+        ("1/2 1/4 3/4 1/8 3/8 5/8 7/8 1/4\n", "n depth\n2 0\n4 1\n", "1/4"),
+        ("1/3 1/3\n", "n depth\n", "1/3"),
+    ],
+)
+def test_classify_duplicate_golden(capsys, tmp_path, text, rows, seen):
+    "rows before the first prefix holding a repeat print, then the error"
+    path = tmp_path / "rats.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out, err) == (
+        2, rows, f"error: splitting_depth needs distinct elements, saw {seen} twice\n"
+    )
+
+
+@pytest.mark.parametrize("text, out", [("", "n depth\n0 0\n"), ("2/4\n", "n depth\n1 0\n")])
+def test_classify_short_lists_golden(capsys, tmp_path, text, out):
+    path = tmp_path / "rats.txt"
+    path.write_text(text)
+    assert run(capsys, "classify", str(path)) == (0, out, "")
+
+
+@pytest.mark.parametrize("extract", ["P", "Y"])
+def test_cantor_extract_golden(capsys, extract):
+    "60 triadic and decimal rationals through the depth-6 middle-thirds scheme"
+    stream = str(GOLDEN / "cantor_stream.txt")
+    code, out, err = run(capsys, "cantor", "--depth", "6", "--extract", extract, "--stream", stream)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"cantor_depth6_{extract}.out").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1/4\n1/2 1 3\n", "{path}:2: expected 'lo hi'"),
+        ("0 1/4\nx 1\n", "{path}:2: Invalid literal for Fraction: 'x'"),
+        ("1/0 1/4\n", "{path}:1: Fraction(1, 0)"),
+        ("0 1/2\n1/4 1\n", "stage intervals must be disjoint and sorted"),
+    ],
+)
+def test_cantor_stage_file_errors_golden(capsys, tmp_path, text, message):
+    path = tmp_path / "stages.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "cantor", "--set", str(path), "--depth", "1")
+    assert (code, out, err) == (2, "", "error: " + message.format(path=path) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--depth", "40"), "depth 40 is above the cap of 16: it needs a stage of 2^41 components"),
+        (("--depth", "2", "--resolution", "40"), "middle-thirds stage 40 has 2^40 components, above the cap of 2^17"),
+    ],
+)
+def test_cantor_refuses_schemes_too_large_to_build(capsys, argv, message):
+    assert run(capsys, "cantor", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_cantor_stage_file_skips_blank_lines_golden(capsys, tmp_path):
+    path = tmp_path / "stages.txt"
+    path.write_text("0 1/4\n\n1/2 1\n")
+    code, out, err = run(capsys, "cantor", "--set", str(path), "--depth", "1", "--resolution", "0")
+    assert (code, out, err) == (0, "e 0 1 [1/4 1/2]\n0 0 1/4\n1 1/2 1\n", "")
+
+
 def test_decide_up_literal_input(capsys):
     code, out, _ = run(capsys, "decide-up", "2 | 2 4 8", "--order", "Divides")
     assert code == 0

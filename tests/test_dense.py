@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import brute_splitting_depth
+from helpers import (
+    brute_splitting_depth,
+    colliding_rationals,
+    ref_build_scheme,
+    ref_gap_selector,
+    ref_prune_successor_endpoints,
+)
 from orderchains.dense import (
+    MAX_DEPTH,
     FixedStages,
     MiddleThirds,
     between_witness,
@@ -32,7 +39,7 @@ from orderchains.errors import (
     SearchBudgetError,
     StreamError,
 )
-from orderchains.orders import Tag, make_element, make_order
+from orderchains.orders import RatLessOrder, Tag, make_element, make_order, rational_key
 from orderchains.trees import word_at
 
 F = Fraction
@@ -349,3 +356,134 @@ def test_between_witness():
     assert between_witness(values, F(1, 8), F(1, 2)) == F(1, 4)
     assert between_witness(values, F(1, 4), F(1, 2)) is None
     assert between_witness(values, F(0), F(1)) == F(1, 8)
+
+
+# Cut points for random stages.  The grids give gaps of equal width; the
+# dyadics 2**-70 apart around 1/2 and the fillers 0.0101...01 (binary)
+# just below 1/3 tie on their floats; 10**-400 underflows to 0.0.
+CUTS = sorted(
+    {F(k, 12) for k in range(1, 12)}
+    | {F(k, 27) for k in range(1, 27)}
+    | {F(1, 2) + k * F(1, 2**70) for k in range(-3, 4)}
+    | {word_to_dyadic((1,) * n) for n in range(26, 33)}
+    | {F(1, 3), F(1, 10**400), F(2, 10**400), 1 - F(1, 10**400)}
+)
+
+
+@st.composite
+def fixed_stage_intervals(draw):
+    """Sorted disjoint components spanning [0, 1], some of them points."""
+    pts = sorted(set(draw(st.lists(st.sampled_from(CUTS), min_size=2, max_size=24))))
+    ends = [F(0)] + pts[: len(pts) // 2 * 2] + [F(1)]
+    comps = list(zip(ends[0::2], ends[1::2]))
+    points = draw(st.lists(st.booleans(), min_size=len(comps) - 1, max_size=len(comps) - 1))
+    return [(lo, lo) if point else (lo, hi) for (lo, hi), point in zip(comps, points + [False])]
+
+
+@given(fixed_stage_intervals(), st.integers(0, 4))
+@settings(max_examples=300)
+def test_build_scheme_matches_plain_fractions(intervals, depth):
+    "same splits, leftmost of equally wide gaps, same errors"
+    want = ref_build_scheme(intervals, depth)
+    try:
+        scheme = build_scheme(FixedStages(intervals), depth, resolution=0)
+    except SchemeError as exc:
+        assert (str(exc), exc.sigma) == want
+    else:
+        assert (scheme.closed, scheme.gaps) == want
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_middle_thirds_scheme_matches_plain_fractions(depth):
+    "every gap at one depth is equally wide, so the leftmost wins each tie"
+    scheme = build_scheme(MiddleThirds(), depth)
+    want = ref_build_scheme(MiddleThirds().stage(scheme.resolution), depth)
+    assert (scheme.closed, scheme.gaps) == want
+
+
+def test_equal_gaps_leftmost_wins():
+    scheme = build_scheme(FixedStages([(F(0), F(1, 5)), (F(2, 5), F(3, 5)), (F(4, 5), F(1))]), 1, resolution=0)
+    assert scheme.gaps[()] == (F(1, 5), F(2, 5))
+
+
+@given(
+    fixed_stage_intervals(),
+    st.integers(0, 4),
+    st.lists(st.sampled_from(CUTS + [F(0), F(1)]), unique=True, max_size=30),
+)
+@settings(max_examples=300)
+def test_extractors_match_plain_fractions(intervals, depth, values):
+    while isinstance(ref_build_scheme(intervals, depth)[0], str):
+        depth -= 1
+    closed, gaps = ref_build_scheme(intervals, depth)
+    scheme = build_scheme(FixedStages(intervals), depth, resolution=0)
+    n = len(values)
+    pruned = prune_successor_endpoints(stream_from_values(values), scheme, n)
+    assert pruned == ref_prune_successor_endpoints(values, closed)
+    assert gap_selector(stream_from_values(values), scheme, n) == ref_gap_selector(values, gaps)
+
+
+@given(st.lists(st.one_of(colliding_rationals, st.fractions()), max_size=20))
+def test_rational_key_orders_as_fractions(values):
+    assert RatLessOrder._key is rational_key
+    assert sorted(values, key=rational_key) == sorted(values)
+
+
+def test_rational_key_at_float_overflow_and_underflow():
+    values = [F(10**400, 3), F(1, 10**400), F(0), -F(10**400, 3), -F(1, 10**400), F(10**400 + 1, 3)]
+    ranked = sorted(values, key=rational_key)
+    assert ranked == sorted(values)
+    assert [rational_key(v)[0] for v in ranked] == [float("-inf"), -0.0, 0.0, 0.0, float("inf"), float("inf")]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([F(1, 2), F(1, 3), F(3, 2)], "xs[2] = 3/2 outside [0, 1]"),
+        ([F(1, 3), -F(1, 10**400)], f"xs[1] = -1/{10**400} outside [0, 1]"),
+        ([F(1, 2), F(1, 3), F(2, 4)], "xs repeats 1/2 at 0 and 2"),
+        ([1, F(0), F(1)], "xs repeats 1 at 0 and 2"),
+        ([F(1, 10**400), F(0), F(2, 2 * 10**400)], f"xs repeats 1/{10**400} at 0 and 2"),
+    ],
+)
+def test_stream_error_messages(values, message):
+    stream = stream_from_values(values, name="xs")
+    with pytest.raises(StreamError) as err:
+        stream.prefix(len(values))
+    assert str(err.value) == message
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6), max_size=12))
+def test_splitting_depth_names_the_first_repeat(values):
+    repeat = next((i for i, v in enumerate(values) if v in values[:i]), None)
+    if repeat is None:
+        assert splitting_depth(values) == brute_splitting_depth(values)
+        return
+    with pytest.raises(DuplicateElementError) as err:
+        splitting_depth(values)
+    assert err.value.index == repeat
+    assert str(err.value) == f"splitting_depth needs distinct elements, saw {values[repeat]} twice"
+
+
+def test_build_scheme_caps_depth_before_any_stage():
+    class Recording:
+        calls = []
+
+        def stage(self, k):
+            self.calls.append(k)
+            return ((F(0), F(1)),)
+
+    oracle = Recording()
+    for depth in (MAX_DEPTH + 1, 40, 10**9):
+        with pytest.raises(SchemeError, match=f"depth {depth} is above the cap of {MAX_DEPTH}"):
+            build_scheme(oracle, depth)
+    assert oracle.calls == []
+    with pytest.raises(SchemeError):
+        build_scheme(MiddleThirds(), 40)
+
+
+def test_middle_thirds_caps_stage_size():
+    "a stage past the finest a scheme can use is refused, not built"
+    with pytest.raises(SchemeError, match="stage 40 has 2\\^40 components"):
+        MiddleThirds().stage(40)
+    assert len(MiddleThirds().stage(3)) == 8

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from helpers import ref_double_bits, ref_format_bit_word
 from orderchains.encodings import (
     double_bits,
     format_dyadic_binary,
@@ -15,7 +16,7 @@ from orderchains.encodings import (
 )
 from orderchains.errors import ArgumentOrderError, DomainMismatchError
 from orderchains.orders import Tag, make_element, make_order
-from orderchains.words import is_prefix
+from orderchains.words import format_bit_word, is_prefix
 
 nat_words = st.lists(st.integers(0, 6), max_size=6).map(tuple)
 subset_nat = make_order("SubsetWordNat")
@@ -55,6 +56,33 @@ def test_double_bits_rejects_negative():
 def test_double_bits_injective(m, n):
     if m != n:
         assert double_bits(m) != double_bits(n)
+
+
+@given(st.one_of(st.integers(0, 2**400), st.integers(0, 2**400).map(lambda n: 2**n.bit_length() - 1)))
+def test_double_bits_matches_per_bit_definition(n):
+    assert double_bits(n) == ref_double_bits(n)
+    assert set(map(type, double_bits(n))) == {int}
+
+
+@given(st.lists(st.integers(0, 1), max_size=500).map(tuple))
+def test_format_bit_word_matches_per_bit_definition(word):
+    assert format_bit_word(word) == ref_format_bit_word(word)
+
+
+@pytest.mark.parametrize(
+    "word, text",
+    [
+        ((0, 2, 1), "021"),
+        ((1, 10), "110"),
+        ((-1, 0), "-10"),
+        ((256, 1), "2561"),
+        ((Fraction(1, 2), 1), "1/21"),
+        ([0, 1, 1], "011"),
+    ],
+)
+def test_format_bit_word_outside_bits_writes_entries(word, text):
+    "entries outside {0, 1} are written with str, never as control characters"
+    assert format_bit_word(word) == text == ref_format_bit_word(word)
 
 
 @pytest.mark.parametrize(
