@@ -24,23 +24,20 @@ def _order_from_args(args) -> orders.Order:
     return orders.make_order(args.order, strict=args.strict, tag=tag)
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_located(path: str, parse_line) -> list:
+    """``parse_line(line)`` of every stripped, non-blank line of the file,
+    errors located by line."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return fp.readlines()
+            lines = fp.readlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _read_located(path: str, parse_line) -> list:
-    """``parse_line(tokens)`` of every non-blank line of the file, errors
-    located by line."""
     out = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        tokens = line.split()
-        if tokens:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
             try:
-                out.append(parse_line(tokens))
+                out.append(parse_line(line))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -48,11 +45,12 @@ def _read_located(path: str, parse_line) -> list:
 
 def _read_tokens(path: str, parse, tag: Tag) -> list:
     """``parse(token, tag)`` of every token in the file, errors located by line."""
-    lines = _read_located(path, lambda tokens: [parse(token, tag) for token in tokens])
+    lines = _read_located(path, lambda line: [parse(token, tag) for token in line.split()])
     return [value for line in lines for value in line]
 
 
-def _parse_interval(tokens: list[str]) -> tuple[Fraction, Fraction]:
+def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
+    tokens = line.split()
     if len(tokens) != 2:
         raise ParseError("expected 'lo hi'")
     try:
@@ -66,7 +64,7 @@ def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
 
 
 def _read_tree(path: str, mode: str) -> trees.FiniteTree:
-    return trees.parse_tree_lines(_read_lines(path), mode=mode, source=path)
+    return trees.validate_tree(_read_located(path, parse_nat_word), mode=mode)
 
 
 def _read_rationals(path: str) -> list[Fraction]:
@@ -107,16 +105,19 @@ def cmd_reduce(args) -> int:
 def cmd_encode(args) -> int:
     for token in args.inputs:
         if args.map == "double":
-            if not token.isdigit():
-                raise ParseError(f"bad natural token {token!r}")
-            print(format_bit_word(encodings.double_bits(int(token))))
+            try:
+                if not token.isdecimal():
+                    raise ValueError(token)
+                n = int(token)  # raises past the interpreter's digit limit too
+            except ValueError as exc:
+                raise ParseError(f"bad natural token {token!r}") from exc
+            print(format_bit_word(encodings.double_bits(n)))
             continue
         word = parse_nat_word(token)
         if args.map == "binary":
             print(format_bit_word(encodings.word_to_bits(word)))
         else:
-            value = encodings.word_to_dyadic(word)
-            print(f"{value.numerator}/{value.denominator}")
+            print(orders.format_payload(Tag.RATIONAL, encodings.word_to_dyadic(word)))
     return 0
 
 
@@ -180,7 +181,7 @@ def cmd_cantor(args) -> int:
             picked = dense.gap_selector(stream, scheme, count)
         print(f"extract {args.extract}: {len(picked)} elements")
         for v in picked:
-            print(f"{v.numerator}/{v.denominator}")
+            print(orders.format_payload(Tag.RATIONAL, v))
     return 0
 
 

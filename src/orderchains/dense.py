@@ -4,11 +4,13 @@ A closed subset of [0, 1] is consumed through stagewise
 interval-union approximations.  ``build_scheme`` splits [0, 1] along
 maximal stage gaps into a binary family of closed intervals C_sigma with
 one removed open gap U_sigma per split.  The extractors turn a countable
-dense-in-the-set stream into order-dense subsets: one by pruning right
-endpoints whose successor interval starts inside the stream, one by
-selecting the earliest stream element inside each gap.  The remaining
-operations measure how densely ordered a finite rational set is and
-embed finite linear orders into countable dense targets.
+dense-in-the-set stream into order-dense subsets: one (P) by pruning
+right endpoints whose successor interval starts inside the stream, one
+(Y) by selecting the earliest stream element inside each gap.  Adjacent
+same-length intervals sit on either side of one gap, so P reads its
+pairs off the gaps.  The remaining operations measure how densely
+ordered a finite rational set is and embed finite linear orders into
+countable dense targets.
 
 Values stay exact ``Fraction``s, but a ``Fraction`` hashes and compares
 in Python, so the hot paths key them instead.  Equality (repeats,
@@ -16,8 +18,8 @@ membership) keys on the ``(numerator, denominator)`` pair, which is
 unique since ``Fraction``s are normalised and which hashes in C.  Order
 (sorts, bisects, widest gap) keys on ``orders.rational_key``, the
 ``(float, Fraction)`` pair that reaches the ``Fraction`` only on a float
-tie.  The middle-thirds stages are integer numerators over 3^k until a
-stage is asked for.
+tie.  The middle-thirds stages and streams share one geometry, integer
+numerators over 3^k, made into ``Fraction``s only when asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .chains import Sequence
 from .encodings import word_to_dyadic
 from .errors import (
     DuplicateElementError,
@@ -49,6 +50,8 @@ Interval = tuple[Fraction, Fraction]
 # 200 MB; every level deeper doubles that, so deeper schemes are refused
 # before any stage is built.
 MAX_DEPTH = 16
+# The finest stage ``build_scheme`` tries when ``resolution`` is unset.
+MAX_RESOLUTION = 64
 
 
 def _identity(q: Fraction) -> tuple[int, int]:
@@ -56,11 +59,20 @@ def _identity(q: Fraction) -> tuple[int, int]:
     return (q.numerator, q.denominator)
 
 
+def _middle_thirds_lefts():
+    """The left numerators a of the middle-thirds intervals
+    [a, a + 1] / 3**k of stage k, in order, for k = 0, 1, 2, ...; the
+    children of a are 3a and 3a + 2."""
+    lefts = [0]
+    while True:
+        yield lefts
+        lefts = [c for a in lefts for c in (3 * a, 3 * a + 2)]
+
+
 class MiddleThirds:
     """Stage oracle for the classical middle-thirds set.
 
-    Stage k is kept as the left numerators a of its intervals
-    [a, a + 1] / 3**k; the children of a are 3a and 3a + 2.  Stages
+    Stage k is kept as the left numerators of its intervals.  Stages
     beyond ``MAX_DEPTH + 1`` (the finest a scheme can ask for) are
     refused, since stage k has 2**k components.
     """
@@ -68,14 +80,15 @@ class MiddleThirds:
     name = "cantor3"
 
     def __init__(self):
-        self._lefts: list[list[int]] = [[0]]
+        self._levels = _middle_thirds_lefts()
+        self._lefts: list[list[int]] = [next(self._levels)]
         self._stages: dict[int, tuple[Interval, ...]] = {}
 
     def stage(self, k: int) -> tuple[Interval, ...]:
         if k > MAX_DEPTH + 1:
             raise SchemeError(f"middle-thirds stage {k} has 2^{k} components, above the cap of 2^{MAX_DEPTH + 1}")
         while len(self._lefts) <= k:
-            self._lefts.append([c for a in self._lefts[-1] for c in (3 * a, 3 * a + 2)])
+            self._lefts.append(next(self._levels))
         # A negative k counts back from the finest stage built so far.
         k = range(len(self._lefts))[k]
         if k not in self._stages:
@@ -118,18 +131,17 @@ class IntervalScheme:
 
     def dump_lines(self) -> list[str]:
         lines = []
-        for d in range(self.depth + 1):
-            for sigma in self.level(d):
-                lo, hi = self.closed[sigma]
-                line = f"{format_bit_word(sigma)} {lo} {hi}"
-                if sigma in self.gaps:
-                    a, b = self.gaps[sigma]
-                    line += f" [{a} {b}]"
-                lines.append(line)
+        for sigma in sorted(self.closed, key=lambda w: (len(w), w)):
+            lo, hi = self.closed[sigma]
+            line = f"{format_bit_word(sigma)} {lo} {hi}"
+            if sigma in self.gaps:
+                a, b = self.gaps[sigma]
+                line += f" [{a} {b}]"
+            lines.append(line)
         return lines
 
 
-def build_scheme(oracle, depth: int, resolution: int | None = None, max_resolution: int = 64) -> IntervalScheme:
+def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalScheme:
     """Split [0, 1] along maximal stage gaps down to the given depth.
 
     The working stage must offer at least 2**(depth + 1) components so
@@ -152,9 +164,9 @@ def build_scheme(oracle, depth: int, resolution: int | None = None, max_resoluti
         k = 0
         while len(oracle.stage(k)) < 2 ** (depth + 1):
             k += 1
-            if k > max_resolution:
+            if k > MAX_RESOLUTION:
                 raise SchemeError(
-                    f"no stage below resolution {max_resolution} has 2^{depth + 1} components"
+                    f"no stage below resolution {MAX_RESOLUTION} has 2^{depth + 1} components"
                 )
         resolution = k
     comps = list(oracle.stage(resolution))
@@ -253,27 +265,17 @@ def dyadic_stream() -> CountableSetStream:
     return CountableSetStream(fn, name="dyadics")
 
 
-def _triadic_left(sigma: Word) -> Fraction:
-    lo = Fraction(0)
-    for i, bit in enumerate(sigma):
-        lo += Fraction(2 * bit, 3 ** (i + 1))
-    return lo
-
-
 def middle_thirds_endpoint_stream() -> CountableSetStream:
     """All middle-thirds interval endpoints, level by level, unseen first."""
 
     def gen():
         seen = set()
-        from itertools import count, product
-
-        for k in count(0):
-            for sigma in product((0, 1), repeat=k):
-                lo = _triadic_left(sigma)
-                hi = lo + Fraction(1, 3**k)
-                for v in (lo, hi):
-                    if v not in seen:
-                        seen.add(v)
+        for k, lefts in enumerate(_middle_thirds_lefts()):
+            for a in lefts:
+                for v in (Fraction(a, 3**k), Fraction(a + 1, 3**k)):
+                    key = _identity(v)  # normalised: 0/3 and 0/1 share it
+                    if key not in seen:
+                        seen.add(key)
                         yield v
 
     return _generator_stream(gen, "middle-thirds-endpoints")
@@ -283,11 +285,9 @@ def gap_midpoint_stream() -> CountableSetStream:
     """Midpoints of the removed middle thirds, level by level."""
 
     def gen():
-        from itertools import count, product
-
-        for k in count(0):
-            for sigma in product((0, 1), repeat=k):
-                yield _triadic_left(sigma) + Fraction(1, 2 * 3**k)
+        for k, lefts in enumerate(_middle_thirds_lefts()):
+            for a in lefts:
+                yield Fraction(2 * a + 1, 2 * 3**k)
 
     return _generator_stream(gen, "gap-midpoints")
 
@@ -301,33 +301,20 @@ def reduction_image_stream() -> CountableSetStream:
     return CountableSetStream(fn, name="word-images")
 
 
-def _successor(sigma: Word) -> Word | None:
-    """Next bit-word of the same length in lexicographic order."""
-    bits = list(sigma)
-    for i in range(len(bits) - 1, -1, -1):
-        if bits[i] == 0:
-            bits[i] = 1
-            return tuple(bits[: i + 1]) + (0,) * (len(bits) - i - 1)
-        bits[i] = 0
-    return None
-
-
 def prune_successor_endpoints(
     stream: CountableSetStream, scheme: IntervalScheme, n: int
 ) -> tuple[Fraction, ...]:
     """First n stream values minus every right endpoint whose successor
     interval's left endpoint also appears among them.
 
-    The pruned set never keeps both sides of one removed gap, which is
-    what makes it densely ordered once the stream has seen enough; the
-    top word of each level has no successor and is never pruned.
+    Adjacent same-length words p01...1 and p10...0 sit on either side of
+    the gap of their longest common prefix p, so these pairs are exactly
+    the gaps.  The pruned set never keeps both sides of one removed gap,
+    which is what makes it densely ordered once the stream has seen
+    enough.
     """
     present = {_identity(v): v for v in stream.prefix(n)}
-    dropped = set()
-    for sigma, (_, hi) in scheme.closed.items():
-        nxt = _successor(sigma)
-        if nxt is not None and _identity(scheme.closed[nxt][0]) in present:
-            dropped.add(_identity(hi))
+    dropped = {_identity(a) for a, b in scheme.gaps.values() if _identity(b) in present}
     return tuple(sorted((v for key, v in present.items() if key not in dropped), key=rational_key))
 
 

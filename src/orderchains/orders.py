@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import inf, isqrt
 
-from .errors import DomainMismatchError, ParseError
+from .errors import ArgumentError, DomainMismatchError, ParseError
 from .words import (
-    Word,
     format_bit_word,
     format_nat_word,
     is_prefix,
@@ -103,11 +103,15 @@ def _is_word(value) -> bool:
 
 
 def make_element(tag: Tag, payload) -> Element:
-    """Build an element, normalising convenient payload spellings."""
-    if tag is Tag.RATIONAL and not isinstance(payload, Fraction):
-        payload = Fraction(payload)
-    if tag in (Tag.WORD_NAT, Tag.WORD_BIT) and not isinstance(payload, tuple):
-        payload = tuple(payload)
+    """Build an element, normalising convenient payload spellings; one
+    that does not normalise goes to ``Element`` as given, which rejects it."""
+    try:
+        if tag is Tag.RATIONAL and not isinstance(payload, Fraction):
+            payload = Fraction(payload)
+        if tag in (Tag.WORD_NAT, Tag.WORD_BIT) and not isinstance(payload, tuple):
+            payload = tuple(payload)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
     return Element(tag, payload)
 
 
@@ -175,7 +179,12 @@ def parse_element(text: str, tag: Tag) -> Element:
 def format_payload(tag: Tag, payload) -> str:
     """Render a payload in the same syntax parse_payload accepts."""
     if tag is _RATIONAL:
-        return f"{payload.numerator}/{payload.denominator}"
+        try:
+            return f"{payload.numerator}/{payload.denominator}"
+        except ValueError as exc:  # more digits than int -> str converts
+            raise ArgumentError(
+                f"rational too large to print: its numerator or denominator has more than {sys.get_int_max_str_digits()} decimal digits"
+            ) from exc
     if tag is _WORD_NAT:
         return format_nat_word(payload)
     if tag is _WORD_BIT:
@@ -421,16 +430,19 @@ class BitLexOrder(LinearOrder):
     domain = Tag.WORD_BIT
 
 
-ORDER_NAMES = (
-    "Divides",
-    "Delta",
-    "IntLess",
-    "SubsetWordNat",
-    "SubsetWordBit",
-    "RL",
-    "LexBit",
-    "RatLess",
-)
+# Oracle constructors by external name; ``tag`` is read by Delta alone.
+_ORDERS = {
+    "Divides": lambda strict, tag: DividesOrder(strict),
+    "Delta": lambda strict, tag: DeltaOrder(strict, domain=tag if tag is not None else Tag.INT),
+    "IntLess": lambda strict, tag: IntLessOrder(strict),
+    "SubsetWordNat": lambda strict, tag: PrefixOrder(strict, domain=Tag.WORD_NAT),
+    "SubsetWordBit": lambda strict, tag: PrefixOrder(strict, domain=Tag.WORD_BIT),
+    "RL": lambda strict, tag: ReverseLexOrder(strict),
+    "LexBit": lambda strict, tag: BitLexOrder(strict),
+    "RatLess": lambda strict, tag: RatLessOrder(strict),
+}
+ORDER_NAMES = tuple(_ORDERS)
+_ORDERS_BY_KEY = {name.lower(): build for name, build in _ORDERS.items()}
 
 
 def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
@@ -438,24 +450,10 @@ def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
 
     ``tag`` selects the domain for Delta; the rest have fixed domains.
     """
-    key = name.lower()
-    if key == "divides":
-        return DividesOrder(strict)
-    if key == "delta":
-        return DeltaOrder(strict, domain=tag if tag is not None else Tag.INT)
-    if key == "intless":
-        return IntLessOrder(strict)
-    if key == "subsetwordnat":
-        return PrefixOrder(strict, domain=Tag.WORD_NAT)
-    if key == "subsetwordbit":
-        return PrefixOrder(strict, domain=Tag.WORD_BIT)
-    if key == "rl":
-        return ReverseLexOrder(strict)
-    if key == "lexbit":
-        return BitLexOrder(strict)
-    if key == "ratless":
-        return RatLessOrder(strict)
-    raise ParseError(f"unknown order {name!r}; choose one of {', '.join(ORDER_NAMES)}")
+    build = _ORDERS_BY_KEY.get(name.lower())
+    if build is None:
+        raise ParseError(f"unknown order {name!r}; choose one of {', '.join(ORDER_NAMES)}")
+    return build(strict, tag)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ class PointwiseMap:
     codomain: Tag
     fn: Callable
 
-    def __call__(self, payload):
-        return self.fn(payload)
-
 
 POINTWISE_MAPS = {
     "double": PointwiseMap("double", Tag.NAT, Tag.WORD_BIT, double_bits),
@@ -150,23 +147,22 @@ class ReductionPipeline:
         return image
 
 
-PIPELINE_NAMES = ("subset", "rl", "rational", "binary")
+# Pipeline parts by name: pointwise stages, chain oracle, upper sandwich.
+# The stages are looked up when a pipeline is built.
+_PIPELINES = {
+    "subset": lambda: ((), PrefixOrder(strict=True, domain=Tag.WORD_NAT), True),
+    "rl": lambda: ((), ReverseLexOrder(strict=True), False),
+    "rational": lambda: ((POINTWISE_MAPS["rational"],), RatLessOrder(strict=True), False),
+    "binary": lambda: ((POINTWISE_MAPS["binary"],), PrefixOrder(strict=True, domain=Tag.WORD_BIT), True),
+}
+PIPELINE_NAMES = tuple(_PIPELINES)
 
 
 def make_pipeline(name: str) -> ReductionPipeline:
-    if name == "subset":
-        return ReductionPipeline("subset", (), PrefixOrder(strict=True, domain=Tag.WORD_NAT), True)
-    if name == "rl":
-        return ReductionPipeline("rl", (), ReverseLexOrder(strict=True), False)
-    if name == "rational":
-        return ReductionPipeline(
-            "rational", (POINTWISE_MAPS["rational"],), RatLessOrder(strict=True), False
-        )
-    if name == "binary":
-        return ReductionPipeline(
-            "binary", (POINTWISE_MAPS["binary"],), PrefixOrder(strict=True, domain=Tag.WORD_BIT), True
-        )
-    raise ParseError(f"unknown pipeline {name!r}; choose one of {', '.join(PIPELINE_NAMES)}")
+    build = _PIPELINES.get(name)
+    if build is None:
+        raise ParseError(f"unknown pipeline {name!r}; choose one of {', '.join(PIPELINE_NAMES)}")
+    return ReductionPipeline(name, *build())
 
 
 @dataclass(frozen=True)

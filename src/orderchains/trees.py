@@ -67,26 +67,9 @@ def validate_tree(words: Iterable[Word], mode: str = "strict") -> FiniteTree:
     return FiniteTree(node_set)
 
 
-def parse_tree_lines(
-    lines: Iterable[str], mode: str = "strict", source: str | None = None
-) -> FiniteTree:
-    """One word per line ("e" for the root); blank lines are skipped.
-
-    With ``source`` (a file name), a bad word's error starts with
-    ``source:line:``.
-    """
-    words = []
-    for lineno, line in enumerate(lines, start=1):
-        token = line.strip()
-        if not token:
-            continue
-        try:
-            words.append(parse_nat_word(token))
-        except ParseError as exc:
-            if source is None:
-                raise
-            raise ParseError(f"{source}:{lineno}: {exc}") from exc
-    return validate_tree(words, mode=mode)
+def parse_tree_lines(lines: Iterable[str], mode: str = "strict") -> FiniteTree:
+    """One word per line ("e" for the root); blank lines are skipped."""
+    return validate_tree((parse_nat_word(line) for line in map(str.strip, lines) if line), mode=mode)
 
 
 def max_branch_depth(tree: FiniteTree) -> int:

@@ -23,9 +23,13 @@ def parse_nat_word(text: str) -> Word:
     parts = text.split(".")
     entries = []
     for part in parts:
-        if not part.isdigit():
-            raise ParseError(f"bad word entry {part!r} in token {text!r}")
-        entries.append(int(part))
+        try:
+            if part.isdecimal():
+                entries.append(int(part))
+                continue
+        except ValueError:  # more digits than int() reads
+            pass
+        raise ParseError(f"bad word entry {part!r} in token {text!r}")
     return tuple(entries)
 
 

@@ -3,7 +3,7 @@ shared input strategies."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import hypothesis.strategies as st
 
@@ -115,6 +115,41 @@ def ref_gap_selector(values, gaps):
             if a < x < b and sigma not in chosen:
                 chosen[sigma] = x
     return tuple(sorted(chosen.values()))
+
+
+def ref_triadic_left(sigma):
+    """Left end of the middle-thirds interval of a bit-word, bit by bit:
+    the sum of 2 * bit / 3**(i + 1)."""
+    lo = Fraction(0)
+    for i, bit in enumerate(sigma):
+        lo += Fraction(2 * bit, 3 ** (i + 1))
+    return lo
+
+
+def _bit_words():
+    """Every bit-word, shorter first, each length in lexicographic order."""
+    k = 0
+    while True:
+        yield from product((0, 1), repeat=k)
+        k += 1
+
+
+def ref_middle_thirds_endpoints(n):
+    """First n middle-thirds interval endpoints, level by level, unseen first."""
+    out, seen = [], set()
+    for sigma in _bit_words():
+        lo = ref_triadic_left(sigma)
+        for v in (lo, lo + Fraction(1, 3 ** len(sigma))):
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                if len(out) == n:
+                    return out
+
+
+def ref_gap_midpoints(n):
+    """Midpoints of the first n removed middle thirds, level by level."""
+    return [ref_triadic_left(sigma) + Fraction(1, 2 * 3 ** len(sigma)) for sigma in islice(_bit_words(), n)]
 
 
 def ref_double_bits(n):

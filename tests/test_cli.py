@@ -127,6 +127,42 @@ def test_encode_double_rejects_word_token(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, tree",
+    [
+        (("encode", "--map", "double", "²"), None),
+        (("encode", "--map", "double", "1" * 5000), None),
+        (("encode", "--map", "binary", "1.²"), None),
+        (("encode", "--map", "binary", "1" * 5000), None),
+        (("reduce", "--horizon", "3"), "e\n²\n"),
+        (("reduce", "--horizon", "3"), "e\n" + "1" * 5000 + "\n"),
+    ],
+)
+def test_digits_int_cannot_read_exit_two(capsys, tmp_path, argv, tree):
+    "superscript digits and entries past the int digit limit are bad input, not a crash"
+    if tree is not None:
+        path = tmp_path / "tree.txt"
+        path.write_text(tree)
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_encode_reads_other_decimal_digits(capsys):
+    "a decimal digit of another script is still a digit"
+    assert run(capsys, "encode", "--map", "binary", "٣") == run(capsys, "encode", "--map", "binary", "3")
+
+
+def test_encode_rational_too_large_to_print(capsys):
+    code, out, err = run(capsys, "encode", "--map", "rational", "20000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: rational too large to print: its numerator or denominator has more than "
+        f"{sys.get_int_max_str_digits()} decimal digits\n"
+    )
+
+
 def test_fuzz_csv_and_exit(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
     code, out, err = run(
@@ -262,6 +298,24 @@ def test_cantor_stage_file_skips_blank_lines_golden(capsys, tmp_path):
     path.write_text("0 1/4\n\n1/2 1\n")
     code, out, err = run(capsys, "cantor", "--set", str(path), "--depth", "1", "--resolution", "0")
     assert (code, out, err) == (0, "e 0 1 [1/4 1/2]\n0 0 1/4\n1 1/2 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("e\n\n1.x\n", "{path}:3: bad word entry 'x' in token '1.x'"),
+        ("e\n1\t2\n", "{path}:2: bad word entry '1\\t2' in token '1\\t2'"),
+        ("e\n1.1\n", "node (1, 1) present but prefix (1,) missing"),
+        (None, "{path}: No such file or directory"),
+    ],
+)
+def test_reduce_tree_file_errors_golden(capsys, tmp_path, text, message):
+    "a bad word counts blank lines, keeps its tab, a gap names the prefix, a missing file its path"
+    path = tmp_path / "tree.txt"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "reduce", str(path), "--horizon", "5")
+    assert (code, out, err) == (2, "", "error: " + message.format(path=path) + "\n")
 
 
 def test_decide_up_literal_input(capsys):

@@ -10,7 +10,9 @@ from helpers import (
     brute_splitting_depth,
     colliding_rationals,
     ref_build_scheme,
+    ref_gap_midpoints,
     ref_gap_selector,
+    ref_middle_thirds_endpoints,
     ref_prune_successor_endpoints,
 )
 from orderchains.dense import (
@@ -173,6 +175,12 @@ def test_endpoint_stream_values():
 def test_gap_midpoint_stream_values():
     stream = gap_midpoint_stream()
     assert stream.prefix(3) == [F(1, 2), F(1, 6), F(5, 6)]
+
+
+def test_middle_thirds_streams_match_per_bit_reference():
+    "the first 2 000 values of both streams, against the per-bit left ends"
+    assert middle_thirds_endpoint_stream().prefix(2000) == ref_middle_thirds_endpoints(2000)
+    assert gap_midpoint_stream().prefix(2000) == ref_gap_midpoints(2000)
 
 
 def test_reduction_image_stream_values():

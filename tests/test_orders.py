@@ -8,12 +8,14 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from helpers import colliding_rationals
+from orderchains.chains import Sequence
 from orderchains.errors import DomainMismatchError, ParseError
 from orderchains.orders import (
     EQ,
     GT,
     INCOMPARABLE,
     LT,
+    ORDER_NAMES,
     Element,
     Tag,
     check_axioms,
@@ -212,6 +214,24 @@ def test_make_order_unknown_name():
         make_order("nosuch")
 
 
+def test_make_order_name_table_golden():
+    "every listed name builds its oracle, in any case; an unknown name lists them all"
+    assert ORDER_NAMES == ("Divides", "Delta", "IntLess", "SubsetWordNat", "SubsetWordBit", "RL", "LexBit", "RatLess")
+    for name in ORDER_NAMES:
+        for spelling in (name, name.lower(), name.upper()):
+            assert make_order(spelling).name == name
+            assert make_order(spelling, strict=False).strict is False
+    assert make_order("delta").domain is Tag.INT
+    assert make_order("Delta", tag=Tag.WORD_BIT).domain is Tag.WORD_BIT
+    assert make_order("IntLess", tag=Tag.WORD_BIT).domain is Tag.INT
+    with pytest.raises(ParseError) as info:
+        make_order("Nope")
+    assert str(info.value) == (
+        "unknown order 'Nope'; choose one of "
+        "Divides, Delta, IntLess, SubsetWordNat, SubsetWordBit, RL, LexBit, RatLess"
+    )
+
+
 def test_element_round_trip():
     "format and parse are inverse on every tag"
     cases = [
@@ -309,6 +329,19 @@ def test_validate_payloads_matches_make_element(tag):
                 got = validate_payloads(tag, payloads)
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize(
+    "tag, payload",
+    [(Tag.WORD_NAT, 5), (Tag.RATIONAL, "abc"), (Tag.RATIONAL, None), (Tag.RATIONAL, float("nan"))],
+)
+def test_unnormalisable_payload_is_a_domain_mismatch(tag, payload):
+    "a payload that does not normalise raises the typed error, per term and in bulk"
+    with pytest.raises(DomainMismatchError) as want:
+        make_element(tag, payload)
+    with pytest.raises(DomainMismatchError) as got:
+        Sequence.from_payloads(tag, [payload])
+    assert str(got.value) == str(want.value)
 
 
 def test_rational_formats_as_fraction():

@@ -114,6 +114,22 @@ def test_make_pipeline_unknown():
         make_pipeline("identity")
 
 
+def test_make_pipeline_name_table_golden():
+    "every listed name builds its pipeline; names are case-sensitive and an unknown one lists them all"
+    assert PIPELINE_NAMES == ("subset", "rl", "rational", "binary")
+    built = {name: make_pipeline(name) for name in PIPELINE_NAMES}
+    assert all(p.name == name for name, p in built.items())
+    assert {name: ([s.name for s in p.stages], p.order.name, p.upper_sandwich) for name, p in built.items()} == {
+        "subset": ([], "SubsetWordNat", True),
+        "rl": ([], "RL", False),
+        "rational": (["rational"], "RatLess", False),
+        "binary": (["binary"], "SubsetWordBit", True),
+    }
+    with pytest.raises(ParseError) as info:
+        make_pipeline("Subset")
+    assert str(info.value) == "unknown pipeline 'Subset'; choose one of subset, rl, rational, binary"
+
+
 def test_generate_tree_deterministic():
     spec = TreeGenSpec(seed=42)
     a = generate_tree(spec)
