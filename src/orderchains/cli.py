@@ -8,13 +8,14 @@ and found violations, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
 from .errors import DuplicateElementError, OrderChainsError, ParseError
 from .orders import Tag
-from .words import format_bit_word, parse_nat_word
+from .words import format_bit_word, parse_nat_word, quote_token
 
 _TAG_CHOICES = {t.value: t for t in Tag}
 
@@ -32,6 +33,8 @@ def _read_located(path: str, parse_line) -> list:
             lines = fp.readlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     out = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -56,7 +59,11 @@ def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
     try:
         return Fraction(tokens[0]), Fraction(tokens[1])
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(str(exc)) from exc
+        # ``Fraction``'s message repeats the bad token whole.
+        reason = str(exc)
+        for token in tokens:
+            reason = reason.replace(repr(token), quote_token(token))
+        raise ParseError(reason) from exc
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
@@ -110,7 +117,7 @@ def cmd_encode(args) -> int:
                     raise ValueError(token)
                 n = int(token)  # raises past the interpreter's digit limit too
             except ValueError as exc:
-                raise ParseError(f"bad natural token {token!r}") from exc
+                raise ParseError(f"bad natural token {quote_token(token)}") from exc
             print(format_bit_word(encodings.double_bits(n)))
             continue
         word = parse_nat_word(token)
@@ -285,9 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: argparse keeps no state between
+    ``parse_args`` calls, and building the tree costs more than most
+    commands do."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OrderChainsError as exc:

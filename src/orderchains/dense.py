@@ -96,6 +96,10 @@ class MiddleThirds:
             self._stages[k] = tuple((Fraction(a, den), Fraction(a + 1, den)) for a in self._lefts[k])
         return self._stages[k]
 
+    def components(self, k: int) -> int:
+        """len(self.stage(k)), without building the stage."""
+        return 2**k
+
 
 class FixedStages:
     """Stage oracle built from one explicit interval list (constant stages)."""
@@ -114,6 +118,9 @@ class FixedStages:
 
     def stage(self, k: int) -> tuple[Interval, ...]:
         return self._intervals
+
+    def components(self, k: int) -> int:
+        return len(self._intervals)
 
 
 @dataclass
@@ -146,12 +153,13 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
 
     The working stage must offer at least 2**(depth + 1) components so
     every split can find a gap; with ``resolution`` unset the first
-    sufficiently fine stage is used.  Ties between equally wide gaps go
-    to the leftmost.  A split with no available gap raises, naming the
-    bit-word where the construction got stuck.  Depths above
-    ``MAX_DEPTH`` raise before any stage is built: they need a stage of
-    more than 2**(MAX_DEPTH + 1) components and as many intervals, more
-    than fits in memory.
+    sufficiently fine stage is used, found by the oracle's
+    ``components(k)`` without building the coarser stages.  Ties
+    between equally wide gaps go to the leftmost.  A split with no
+    available gap raises, naming the bit-word where the construction got
+    stuck.  Depths above ``MAX_DEPTH`` raise before any stage is built:
+    they need a stage of more than 2**(MAX_DEPTH + 1) components and as
+    many intervals, more than fits in memory.
 
     Each gap's endpoints and width are keyed once.  Equal widths share
     one key object, so a tie is settled by identity, in C.
@@ -162,7 +170,7 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
         raise SchemeError(f"depth {depth} is above the cap of {MAX_DEPTH}: it needs a stage of 2^{depth + 1} components")
     if resolution is None:
         k = 0
-        while len(oracle.stage(k)) < 2 ** (depth + 1):
+        while oracle.components(k) < 2 ** (depth + 1):
             k += 1
             if k > MAX_RESOLUTION:
                 raise SchemeError(

@@ -41,6 +41,13 @@ def word_to_bits(word: Word) -> Word:
     return tuple(list(chain.from_iterable(map(codes.__getitem__, word))))
 
 
+# The most binary digits word_to_dyadic writes: 2^20, a 128 KiB
+# denominator.  A fuzz horizon h needs at most 2h + 1 digits (its longest
+# filler is at most h ones and a zero), so this admits every horizon up to
+# about 500 000, far beyond what reduce_tree can write out.
+MAX_DYADIC_DIGITS = 1 << 20
+
+
 def word_to_dyadic(word: Word) -> Fraction:
     """Encode a nat-word as the dyadic rational 0.0^{a_0}1 0^{a_1}1 ...
 
@@ -48,14 +55,18 @@ def word_to_dyadic(word: Word) -> Fraction:
     The empty word encodes to 0.  Larger entries push the next one
     further right, which realises the reverse-entry comparison, and
     extending a word only adds smaller binary digits, which keeps
-    prefixes below their extensions.
+    prefixes below their extensions.  Words needing more than
+    ``MAX_DYADIC_DIGITS`` digits raise before any shift.
     """
+    digits = len(word) + sum(word)
+    if digits > MAX_DYADIC_DIGITS:
+        raise DomainMismatchError(
+            f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
+        )
     num = 0
-    exponent = 0
     for entry in word:
         num = (num << (entry + 1)) | 1
-        exponent += entry + 1
-    return Fraction(num, 1 << exponent)
+    return Fraction(num, 1 << digits)
 
 
 def format_dyadic_binary(value: Fraction) -> str:

@@ -26,6 +26,7 @@ from .words import (
     is_prefix,
     parse_bit_word,
     parse_nat_word,
+    quote_token,
 )
 
 
@@ -154,12 +155,12 @@ def parse_payload(text: str, tag: Tag):
         if tag is _NAT:
             value = int(text)
             if value < 1:
-                raise ParseError(f"naturals here exclude zero, got {text!r}")
+                raise ParseError(f"naturals here exclude zero, got {quote_token(text)}")
             return value
         if tag is _INT:
             return int(text)
         if tag is _RATIONAL:
-            return Fraction(text)
+            return _parse_rational(text)
         if tag is _WORD_NAT:
             return parse_nat_word(text)
         if tag is _WORD_BIT:
@@ -167,8 +168,29 @@ def parse_payload(text: str, tag: Tag):
     except ParseError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad {tag.value} token {text!r}: {exc}") from exc
+        quoted = quote_token(text)
+        # ``Fraction``'s own message repeats the whole token.
+        reason = str(exc).replace(repr(text), quoted)
+        raise ParseError(f"bad {tag.value} token {quoted}: {reason}") from exc
     raise ParseError(f"unknown tag {tag!r}")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``.
+
+    A plain ``[+-]digits[/digits]`` token is read with ``int`` alone,
+    skipping ``Fraction``'s regex; ``int`` reads the same decimal digits
+    that regex matches and raises the same digit-limit error.  Every
+    other spelling goes to ``Fraction(text)``, so the accepted spellings
+    and every error stay ``Fraction``'s own.
+    """
+    sign = text[:1]
+    body = text[1:] if sign == "-" or sign == "+" else text
+    num, slash, den = body.partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        numerator = int(num)
+        return Fraction(-numerator if sign == "-" else numerator, int(den) if slash else 1)
+    return Fraction(text)
 
 
 def parse_element(text: str, tag: Tag) -> Element:
@@ -452,7 +474,7 @@ def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
     """
     build = _ORDERS_BY_KEY.get(name.lower())
     if build is None:
-        raise ParseError(f"unknown order {name!r}; choose one of {', '.join(ORDER_NAMES)}")
+        raise ParseError(f"unknown order {quote_token(name)}; choose one of {', '.join(ORDER_NAMES)}")
     return build(strict, tag)
 
 
@@ -504,7 +526,7 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
         axioms = tuple(axioms)
         for ax in axioms:
             if ax not in KNOWN_AXIOMS:
-                raise ParseError(f"unknown axiom {ax!r}; known: {', '.join(KNOWN_AXIOMS)}")
+                raise ParseError(f"unknown axiom {quote_token(ax)}; known: {', '.join(KNOWN_AXIOMS)}")
     n = len(elems)
     cmp_matrix = [[order.compare(a, b) for b in elems] for a in elems]
     violations: list[AxiomViolation] = []

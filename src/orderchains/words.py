@@ -13,6 +13,18 @@ Word = tuple[int, ...]
 
 EMPTY_TOKEN = "e"
 
+# Error messages quote at most this many characters of a token.
+ECHO_LIMIT = 40
+
+
+def quote_token(text: str) -> str:
+    """``repr(text)`` for an error message, cut after ``ECHO_LIMIT``
+    characters with the cut and the full length marked, so one huge token
+    cannot make a huge message."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+
 
 def parse_nat_word(text: str) -> Word:
     """Parse a dot-separated word over the naturals; "e" is the empty word."""
@@ -29,7 +41,7 @@ def parse_nat_word(text: str) -> Word:
                 continue
         except ValueError:  # more digits than int() reads
             pass
-        raise ParseError(f"bad word entry {part!r} in token {text!r}")
+        raise ParseError(f"bad word entry {quote_token(part)} in token {quote_token(text)}")
     return tuple(entries)
 
 
@@ -45,7 +57,7 @@ def parse_bit_word(text: str) -> Word:
     if text == EMPTY_TOKEN:
         return ()
     if not text or any(ch not in "01" for ch in text):
-        raise ParseError(f"bad bit-word token {text!r}")
+        raise ParseError(f"bad bit-word token {quote_token(text)}")
     return tuple(int(ch) for ch in text)
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import orderchains
-from orderchains.cli import main
+from orderchains.cli import build_parser, main
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -152,6 +156,43 @@ def test_digits_int_cannot_read_exit_two(capsys, tmp_path, argv, tree):
 def test_encode_reads_other_decimal_digits(capsys):
     "a decimal digit of another script is still a digit"
     assert run(capsys, "encode", "--map", "binary", "٣") == run(capsys, "encode", "--map", "binary", "3")
+
+
+def test_encode_rational_past_the_digit_cap_exit_two(capsys):
+    "the dyadic digit cap refuses the word before any shift"
+    code, out, err = run(capsys, "encode", "--map", "rational", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: word_to_dyadic writes at most") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, tree",
+    [
+        (("encode", "--map", "binary", "1." + "2" * 5000 + "x"), None),
+        (("encode", "--map", "double", "1" * 5000 + "x"), None),
+        (("reduce", "--horizon", "3"), "e\n1." + "2" * 5000 + "x\n"),
+    ],
+    ids=["encode-binary", "encode-double", "tree-line"],
+)
+def test_error_lines_cap_long_tokens(capsys, tmp_path, argv, tree):
+    "an error quotes the start of a huge token, not all of it"
+    if tree is not None:
+        path = tmp_path / "t.txt"
+        path.write_text(tree)
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.replace(str(tmp_path), "")) < 200
+    assert "characters)" in err
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--order", "IntLess"), ("cantor", "--depth", "1", "--set")])
+def test_undecodable_file_exit_two(capsys, tmp_path, argv):
+    "a file that is not UTF-8 is bad input named by its path, not a traceback"
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text: invalid start byte\n")
 
 
 def test_encode_rational_too_large_to_print(capsys):
@@ -372,6 +413,110 @@ def test_check_axioms_delta_needs_tag(capsys, tmp_path):
     )
     assert code == 0
     assert "no violations" in out
+
+
+def test_flags_do_not_carry_over_between_calls(capsys, tmp_path):
+    "main reuses one parser: a flag of one call leaves the next at its defaults"
+    path = tmp_path / "rep.txt"
+    path.write_text("2 2 2\n")
+    strict = run(capsys, "analyze", str(path), "--order", "IntLess")
+    assert run(capsys, "analyze", str(path), "--order", "IntLess", "--non-strict")[1].startswith("length: 3")
+    assert run(capsys, "analyze", str(path), "--order", "IntLess") == strict
+    assert strict[1].startswith("length: 1")
+
+
+def test_usage_error_leaves_the_parser_as_it_was(capsys, seq_file):
+    alone = run(capsys, "analyze", seq_file, "--order", "IntLess")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", seq_file, "--order", "IntLess", "--strict", "--non-strict"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(capsys, "analyze", seq_file, "--order", "IntLess") == alone
+
+
+def _help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr()
+
+
+def test_help_matches_a_fresh_parser(capsys):
+    "the -h text of main's parser is a freshly built parser's, at every level"
+    fresh = build_parser()
+    subs = next(a for a in fresh._actions if a.dest == "command").choices
+    for argv in [["-h"]] + [[name, "-h"] for name in subs]:
+        main(["encode", "--map", "binary", "1"])  # main's parser is in use
+        capsys.readouterr()
+        assert _help_text(capsys, main, argv) == _help_text(capsys, build_parser().parse_args, argv)
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    texts = {
+        "ints": b"3 1 4 1 5\n",
+        "rats": b"1/3 1/2 3/4\n1/5 2/7\n",
+        "dup": b"1/3 1/2 1/3\n",
+        "words": b"e 0 0.1 1.2\n",
+        "tree": b"e\n1\n1.1\n",
+        "bad": b"1 x\n",
+        "utf16": b"\xff\xfe",
+    }
+    for name, text in texts.items():
+        (root / name).write_bytes(text)
+    return {name: str(root / name) for name in [*texts, "missing"]}
+
+
+def _any_file(draw, files):
+    return files[draw(st.sampled_from(sorted(files)))]
+
+
+@st.composite
+def _argv(draw, files):
+    """One command line from a small grammar over the tiny files, bad ones included."""
+    kind = draw(st.sampled_from(["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "reduce", "usage"]))
+    order = ["--order", draw(st.sampled_from(["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Bogus"]))]
+    reading = draw(st.sampled_from([[], ["--strict"], ["--non-strict"]]))
+    if kind in ("analyze", "check-axioms"):
+        return [kind, _any_file(draw, files)] + order + reading
+    if kind == "classify":
+        return [kind, _any_file(draw, files)]
+    if kind == "cantor":
+        extract = draw(st.sampled_from([[], ["--extract", "P", "--stream", files["rats"]], ["--extract", "Y"]]))
+        return [kind, "--depth", str(draw(st.integers(0, 3)))] + extract
+    if kind == "encode":
+        tokens = draw(st.lists(st.sampled_from(["e", "0", "1.2", "3", "x", "²"]), min_size=1, max_size=3))
+        return [kind, "--map", draw(st.sampled_from(["binary", "rational", "double"]))] + tokens
+    if kind == "decide-up":
+        return [kind, draw(st.sampled_from(["2 | 2 4 8", "1 | 3 2", "|", "x | 1"]))] + order + reading
+    if kind == "reduce":
+        target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
+        return [kind, _any_file(draw, files), "--horizon", str(draw(st.integers(0, 6))), "--target", target]
+    return draw(st.sampled_from([[], ["analyze"], ["nosuch"], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]))
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_call_order_does_not_change_any_outcome(tiny_files, data):
+    "a run of command lines gives each the same exit, stdout and stderr in either order"
+    argvs = data.draw(st.lists(_argv(tiny_files), min_size=2, max_size=6))
+    forward = [_outcome(argv) for argv in argvs]
+    backward = [_outcome(argv) for argv in reversed(argvs)][::-1]
+    assert forward == backward
+    for code, _, err in forward:
+        assert code in (0, 1, 2)
+        assert code != 2 or "error:" in err
 
 
 def _script_target_argv():

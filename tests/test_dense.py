@@ -130,6 +130,27 @@ def test_scheme_adaptive_resolution():
     assert build_scheme(MiddleThirds(), 2, resolution=5).resolution == 5
 
 
+def test_scheme_builds_only_the_stage_it_splits():
+    "with resolution unset, coarser stages are counted, never built"
+
+    class Recording(MiddleThirds):
+        def __init__(self):
+            super().__init__()
+            self.built = []
+
+        def stage(self, k):
+            self.built.append(k)
+            return super().stage(k)
+
+    oracle = Recording()
+    assert build_scheme(oracle, 6).resolution == 7
+    assert oracle.built == [7]
+    for k in range(8):
+        assert MiddleThirds().components(k) == len(MiddleThirds().stage(k))
+    fixed = FixedStages([(F(0), F(1, 3)), (F(2, 3), F(1))])
+    assert fixed.components(5) == len(fixed.stage(5)) == 2
+
+
 def test_scheme_insufficient_resolution_names_sigma():
     oracle = FixedStages([(F(0), F(1, 3)), (F(2, 3), F(1))])
     with pytest.raises(SchemeError) as err:

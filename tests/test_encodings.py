@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from helpers import ref_double_bits, ref_format_bit_word
 from orderchains.encodings import (
+    MAX_DYADIC_DIGITS,
     double_bits,
     format_dyadic_binary,
     lex_between,
@@ -148,6 +149,16 @@ def test_word_to_dyadic_matches_literal_sum(word):
     "the value is the sum of 2**-e_k with e_k = a_0 + ... + a_k + k + 1"
     exponents = [sum(word[: k + 1]) + k + 1 for k in range(len(word))]
     assert word_to_dyadic(word) == sum((Fraction(1, 2**e) for e in exponents), Fraction(0))
+
+
+def test_word_to_dyadic_refuses_words_past_the_digit_cap():
+    "the cap is checked before any shift, so a 10^12-bit word costs nothing"
+    with pytest.raises(DomainMismatchError):
+        word_to_dyadic((10**12,))
+    with pytest.raises(DomainMismatchError):
+        word_to_dyadic((MAX_DYADIC_DIGITS,))
+    # len + sum is the digit count: a word of exactly the cap still encodes.
+    assert word_to_dyadic((MAX_DYADIC_DIGITS - 1,)) == Fraction(1, 2**MAX_DYADIC_DIGITS)
 
 
 def test_format_dyadic_binary():

@@ -23,8 +23,10 @@ from orderchains.orders import (
     make_element,
     make_order,
     parse_element,
+    parse_payload,
     validate_payloads,
 )
+from orderchains.words import quote_token
 
 nat_words = st.lists(st.integers(0, 5), max_size=5).map(tuple)
 bit_words = st.lists(st.integers(0, 1), max_size=6).map(tuple)
@@ -389,3 +391,56 @@ def test_linear_oracles_check_totality_by_default():
 def test_unknown_axiom_name():
     with pytest.raises(ParseError):
         check_axioms(make_order("IntLess"), [], axioms=("density",))
+
+
+def _fraction_reading(text):
+    """What parse_payload must give for a rational token: ``Fraction(text)``,
+    or the ParseError text wrapped around ``Fraction``'s own error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        quoted = quote_token(text)
+        return f"bad rational token {quoted}: {str(exc).replace(repr(text), quoted)}"
+
+
+def _parse_rational_or_error(text):
+    try:
+        value = parse_payload(text, Tag.RATIONAL)
+    except ParseError as exc:
+        return str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+RATIONAL_SPELLINGS = [
+    "0", "-0", "+0", "7", "-7", "+7", "3/4", "-3/4", "+3/4", "6/8", "00/05",
+    "1/0", "-3/0", "0/0", "-6/-8", "3/-4", "+-1", "--1", "+", "-", "", "/2", "1/",
+    "1/2/3", "1_000/3", "1/3_0", "1__0", "_1", "0.5", "-.5", "1e3", "1E-2", "1.5/2",
+    " 1/2", "1/2 ", "1 /2", "1/ 2", "0x10", "inf", "nan", "²", "1/²", "½",
+    "٣/٤", "-٣", "١٢/٣٤", "𝟙/2", "1٣/7",
+    "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1" * 4300 + "/7",
+]
+
+
+@pytest.mark.parametrize("text", RATIONAL_SPELLINGS, ids=lambda t: repr(t[:12]))
+def test_rational_tokens_read_as_fraction_reads_them(text):
+    "every spelling parses to Fraction(text), or fails with Fraction's error in the ParseError"
+    assert _parse_rational_or_error(text) == _fraction_reading(text)
+
+
+# No "e": Fraction computes 10**exponent, so "0E500000" alone takes a
+# quarter of a second.  The table above holds the exponent spellings.
+@given(st.text(st.sampled_from(list("+-0123456789/_. ²") + ["٣", "٤", "𝟙"]), max_size=10))
+def test_rational_token_property(text):
+    assert _parse_rational_or_error(text) == _fraction_reading(text)
+
+
+def test_long_token_errors_stay_short():
+    "an error quotes at most ECHO_LIMIT characters of a token and marks the cut"
+    text = "1/" + "2" * 300 + "x"
+    with pytest.raises(ParseError) as err:
+        parse_payload(text, Tag.RATIONAL)
+    message = str(err.value)
+    assert len(message) < 200
+    assert f"({len(text)} characters)" in message
+    assert quote_token("1/x") == "'1/x'"
