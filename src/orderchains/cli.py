@@ -57,9 +57,9 @@ def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
     if len(tokens) != 2:
         raise ParseError("expected 'lo hi'")
     try:
-        return Fraction(tokens[0]), Fraction(tokens[1])
+        return orders.parse_rational(tokens[0]), orders.parse_rational(tokens[1])
     except (ValueError, ZeroDivisionError) as exc:
-        # ``Fraction``'s message repeats the bad token whole.
+        # The message repeats the bad token whole.
         reason = str(exc)
         for token in tokens:
             reason = reason.replace(repr(token), quote_token(token))
@@ -169,6 +169,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cantor(args) -> int:
+    if args.extract and not args.stream:
+        raise ParseError("--extract needs --stream FILE")
     if args.set == "cantor3":
         oracle = dense.MiddleThirds()
     else:
@@ -177,8 +179,6 @@ def cmd_cantor(args) -> int:
     for line in scheme.dump_lines():
         print(line)
     if args.extract:
-        if not args.stream:
-            raise ParseError("--extract needs --stream FILE")
         values = _read_rationals(args.stream)
         stream = dense.stream_from_values(values, name=args.stream)
         count = args.count if args.count is not None else len(values)

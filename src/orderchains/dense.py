@@ -28,7 +28,8 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import chain, count
+from typing import Iterable
 
 from .encodings import word_to_dyadic
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     StreamError,
 )
 from .orders import Element, Order, rational_key
-from .trees import word_at
+from .trees import iter_words
 from .words import Word, format_bit_word
 
 Interval = tuple[Fraction, Fraction]
@@ -220,10 +221,11 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
 
 
 class CountableSetStream:
-    """Injective enumeration of rationals in [0, 1], queried by index."""
+    """Injective enumeration of rationals in [0, 1], drawn in order from
+    an iterable as indices are asked for."""
 
-    def __init__(self, fn: Callable[[int], Fraction], name: str = "stream"):
-        self._fn = fn
+    def __init__(self, values: Iterable, name: str = "stream"):
+        self._values = iter(values)
         self.name = name
         self._cache: list[Fraction] = []
         self._seen: dict[tuple[int, int], int] = {}
@@ -232,11 +234,14 @@ class CountableSetStream:
         while len(self._cache) <= i:
             j = len(self._cache)
             try:
-                v = self._fn(j)
-            except IndexError as exc:
-                raise StreamError(f"{self.name} has no element {j}") from exc
+                v = next(self._values)
+            except StopIteration:
+                raise StreamError(f"{self.name} has no element {j}") from None
             if type(v) is not Fraction:
-                v = Fraction(v)
+                try:
+                    v = Fraction(v)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise StreamError(f"{self.name}[{j}] is not a rational") from exc
             num, den = v.numerator, v.denominator
             if num < 0 or num > den:
                 raise StreamError(f"{self.name}[{j}] = {v} outside [0, 1]")
@@ -251,62 +256,38 @@ class CountableSetStream:
 
 
 def stream_from_values(values: Iterable[Fraction], name: str = "file-stream") -> CountableSetStream:
-    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    return CountableSetStream(vals.__getitem__, name=name)
-
-
-def _generator_stream(gen_factory, name: str) -> CountableSetStream:
-    # CountableSetStream asks for indices 0, 1, 2, ... once each, in turn.
-    it = gen_factory()
-    return CountableSetStream(lambda _j: next(it), name=name)
+    return CountableSetStream(values, name=name)
 
 
 def dyadic_stream() -> CountableSetStream:
     """1/2, 1/4, 3/4, 1/8, 3/8, ... level by level."""
-
-    def fn(i: int) -> Fraction:
-        k = i + 1
-        level = k.bit_length()
-        num = 2 * (k - (1 << (level - 1))) + 1
-        return Fraction(num, 1 << level)
-
-    return CountableSetStream(fn, name="dyadics")
+    dyadics = (Fraction(num, 1 << level) for level in count(1) for num in range(1, 1 << level, 2))
+    return CountableSetStream(dyadics, name="dyadics")
 
 
 def middle_thirds_endpoint_stream() -> CountableSetStream:
-    """All middle-thirds interval endpoints, level by level, unseen first."""
-
-    def gen():
-        seen = set()
-        for k, lefts in enumerate(_middle_thirds_lefts()):
-            for a in lefts:
-                for v in (Fraction(a, 3**k), Fraction(a + 1, 3**k)):
-                    key = _identity(v)  # normalised: 0/3 and 0/1 share it
-                    if key not in seen:
-                        seen.add(key)
-                        yield v
-
-    return _generator_stream(gen, "middle-thirds-endpoints")
+    """All middle-thirds interval endpoints, level by level: 0 and 1,
+    then for each interval [a, a + 1] / 3**k of a stage, in order, the
+    two ends (3a + 1) / 3**(k + 1) and (3a + 2) / 3**(k + 1) of the
+    third removed from it.  Every other endpoint of the next stage is
+    one of an earlier stage."""
+    removed_ends = (
+        Fraction(3 * a + c, 3 ** (k + 1)) for k, lefts in enumerate(_middle_thirds_lefts()) for a in lefts for c in (1, 2)
+    )
+    return CountableSetStream(chain((Fraction(0), Fraction(1)), removed_ends), name="middle-thirds-endpoints")
 
 
 def gap_midpoint_stream() -> CountableSetStream:
     """Midpoints of the removed middle thirds, level by level."""
-
-    def gen():
-        for k, lefts in enumerate(_middle_thirds_lefts()):
-            for a in lefts:
-                yield Fraction(2 * a + 1, 2 * 3**k)
-
-    return _generator_stream(gen, "gap-midpoints")
+    midpoints = (
+        Fraction(2 * a + 1, 2 * 3**k) for k, lefts in enumerate(_middle_thirds_lefts()) for a in lefts
+    )
+    return CountableSetStream(midpoints, name="gap-midpoints")
 
 
 def reduction_image_stream() -> CountableSetStream:
     """Dyadic images of the canonical word enumeration."""
-
-    def fn(i: int) -> Fraction:
-        return word_to_dyadic(word_at(i))
-
-    return CountableSetStream(fn, name="word-images")
+    return CountableSetStream(map(word_to_dyadic, iter_words()), name="word-images")
 
 
 def prune_successor_endpoints(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,7 +161,7 @@ def parse_payload(text: str, tag: Tag):
         if tag is _INT:
             return int(text)
         if tag is _RATIONAL:
-            return _parse_rational(text)
+            return parse_rational(text)
         if tag is _WORD_NAT:
             return parse_nat_word(text)
         if tag is _WORD_BIT:
@@ -175,14 +176,21 @@ def parse_payload(text: str, tag: Tag):
     raise ParseError(f"unknown tag {tag!r}")
 
 
-def _parse_rational(text: str) -> Fraction:
+# The exponent of a decimal spelling such as 1.5e-3.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``.
 
     A plain ``[+-]digits[/digits]`` token is read with ``int`` alone,
     skipping ``Fraction``'s regex; ``int`` reads the same decimal digits
     that regex matches and raises the same digit-limit error.  Every
     other spelling goes to ``Fraction(text)``, so the accepted spellings
-    and every error stay ``Fraction``'s own.
+    and every error stay ``Fraction``'s own, except that an exponent
+    above the digit limit in magnitude raises ``ValueError`` first:
+    ``Fraction`` would compute its power of ten, taking time that grows
+    with the exponent.
     """
     sign = text[:1]
     body = text[1:] if sign == "-" or sign == "+" else text
@@ -190,6 +198,10 @@ def _parse_rational(text: str) -> Fraction:
     if num.isdecimal() and (den.isdecimal() or not slash):
         numerator = int(num)
         return Fraction(-numerator if sign == "-" else numerator, int(den) if slash else 1)
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise ValueError(f"exponent of {text!r} is above {limit} in magnitude")
     return Fraction(text)
 
 

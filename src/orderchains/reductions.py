@@ -19,7 +19,7 @@ from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
 from .errors import ArgumentError, DomainMismatchError, ParseError
 from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
-from .trees import FiniteTree, filler, index_of, iter_words, word_at
+from .trees import FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,13 @@ def chain_bound_within_horizon(tree: FiniteTree, horizon: int) -> int:
 
     Because trees are prefix-closed and the enumeration never places a
     prefix after its extension, this equals one plus the length of the
-    deepest node whose index falls inside the horizon.
+    deepest node whose index falls inside the horizon.  Nodes of a block
+    past the one holding the last index inside it are not ranked.
     """
+    last = block_at(horizon - 1)
     best = -1
     for w in tree.nodes:
-        if len(w) > best and index_of(w) < horizon:
+        if len(w) > best and block_of(w) <= last and index_of(w) < horizon:
             best = len(w)
     return best + 1
 

@@ -6,12 +6,18 @@ grouped into blocks: word w sits in block max(len(w), 1 + max entry)
 inside a block shorter words come first and words of equal length are
 lexicographic by entries.  A prefix never has a larger index than its
 extensions, which is what the tree-to-sequence reduction relies on.
+
+Blocks 0..b hold the 1 + b + ... + b**b words of length at most b with
+entries below b, so every block start is a closed form.  Ranking and
+unranking share one count, the tails that finish a word of block b:
+b**rem once it has length b or holds the top entry b - 1, else the
+b**rem - (b - 1)**rem that hold it.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Iterator
 
 from .errors import ArgumentError, ParseError, TreePrefixError
@@ -20,14 +26,16 @@ from .words import Word, parse_nat_word
 
 @dataclass(frozen=True)
 class FiniteTree:
-    """A finite, prefix-closed set of nat-words."""
+    """A finite, prefix-closed set of nat-words; a gap raises on a
+    shortest node whose parent is missing."""
 
     nodes: frozenset[Word]
 
     def __post_init__(self):
-        for node in self.nodes:
-            if node and node[:-1] not in self.nodes:
-                raise TreePrefixError(node, node[:-1])
+        violators = [node for node in self.nodes if node and node[:-1] not in self.nodes]
+        if violators:
+            node = min(violators, key=len)
+            raise TreePrefixError(node, node[:-1])
 
     @property
     def is_empty(self) -> bool:
@@ -41,30 +49,21 @@ class FiniteTree:
 
 
 def prefix_closure(words: Iterable[Word]) -> frozenset[Word]:
-    closed: set[Word] = set()
-    for w in words:
-        for i in range(len(w) + 1):
-            closed.add(w[:i])
-    return frozenset(closed)
+    return frozenset(w[:i] for w in words for i in range(len(w) + 1))
 
 
 def validate_tree(words: Iterable[Word], mode: str = "strict") -> FiniteTree:
     """Build a tree from raw words.
 
     ``strict`` requires the input to be prefix-closed already and raises
-    on the first violating (node, missing prefix) pair; ``closure``
+    on a shortest violating (node, missing prefix) pair; ``closure``
     completes the input with all missing prefixes.
     """
-    ws = list(words)
     if mode == "closure":
-        return FiniteTree(prefix_closure(ws))
+        return FiniteTree(prefix_closure(words))
     if mode != "strict":
         raise ParseError(f"unknown tree validation mode {mode!r}")
-    node_set = frozenset(ws)
-    for w in sorted(node_set, key=len):
-        if w and w[:-1] not in node_set:
-            raise TreePrefixError(w, w[:-1])
-    return FiniteTree(node_set)
+    return FiniteTree(frozenset(words))
 
 
 def parse_tree_lines(lines: Iterable[str], mode: str = "strict") -> FiniteTree:
@@ -74,9 +73,7 @@ def parse_tree_lines(lines: Iterable[str], mode: str = "strict") -> FiniteTree:
 
 def max_branch_depth(tree: FiniteTree) -> int:
     """Length of the longest word in the tree (0 for the empty tree)."""
-    if tree.is_empty:
-        return 0
-    return max(len(w) for w in tree.nodes)
+    return max(map(len, tree.nodes), default=0)
 
 
 def filler(n: int) -> Word:
@@ -93,121 +90,95 @@ def filler(n: int) -> Word:
 
 # --- canonical enumeration -------------------------------------------------
 
-_cum_sizes = [1]  # _cum_sizes[b] = number of words in blocks 0..b
+# The last block index_of and word_at take: a word of block 4096 ranks or
+# unranks in about a second on a 2-core machine and its index has about
+# 49 000 bits, and each later block costs more.
+MAX_BLOCK = 4096
 
 
-def _block_of(word: Word) -> int:
+def block_of(word: Word) -> int:
+    """The word's block: max(len(word), 1 + max entry), 0 for the empty word."""
     if not word:
         return 0
     return max(len(word), 1 + max(word))
 
 
-def _group_size(b: int, length: int) -> int:
-    # Words of the given length inside block b: all entries < b, and for
-    # lengths below b the maximum entry must be exactly b - 1.
-    if length == b:
-        return b**b
-    return b**length - (b - 1) ** length
+def _words_through(b: int) -> int:
+    """Words in blocks 0..b: those of length at most b with every entry
+    below b, 1 + b + ... + b**b (0 for b = -1)."""
+    if b < 2:
+        return b + 1
+    return (b ** (b + 1) - 1) // (b - 1)
 
 
-def _block_size(b: int) -> int:
-    if b == 0:
-        return 1
-    return sum(_group_size(b, length) for length in range(1, b + 1))
+def _tails(b: int, rem: int, free: bool) -> int:
+    """Ways to finish a word of block b with rem more entries: all b**rem
+    once it is free (it has length b or holds the top entry b - 1), else
+    those that hold the top entry.  The words of length n < b in block b
+    are the tails of length n of the empty word."""
+    if free:
+        return b**rem
+    return b**rem - (b - 1) ** rem
 
 
-def _cum_through(b: int) -> int:
-    while len(_cum_sizes) <= b:
-        nxt = len(_cum_sizes)
-        _cum_sizes.append(_cum_sizes[-1] + _block_size(nxt))
-    return _cum_sizes[b]
+_INDEX_CAP = _words_through(MAX_BLOCK)  # the first index past block MAX_BLOCK
+
+
+def block_at(n: int) -> int:
+    """The block of the n-th word, block_of(word_at(n))."""
+    if n >= _INDEX_CAP:
+        raise ArgumentError(f"enumeration index past block {MAX_BLOCK}, the last the enumeration ranks")
+    b = 0
+    while _words_through(b) <= n:
+        b += 1
+    return b
 
 
 def index_of(word: Word) -> int:
-    """Position of a word in the canonical enumeration."""
-    if not word:
-        return 0
-    b = _block_of(word)
+    """Position of a word in the canonical enumeration.
+
+    The earlier blocks and the shorter words of its block come first.
+    Then each entry passes the tails of every smaller entry at its place;
+    a smaller entry is never the top one, so they all count alike.
+    """
+    b = block_of(word)
+    if b > MAX_BLOCK:
+        raise ArgumentError(f"the enumeration ranks words of length at most {MAX_BLOCK} with entries below {MAX_BLOCK}")
     length = len(word)
-    idx = _cum_through(b - 1)
-    for shorter in range(1, length):
-        idx += _group_size(b, shorter)
-    if length == b:
-        # plain base-b rank
-        rank = 0
-        for entry in word:
-            rank = rank * b + entry
-        return idx + rank
-    # rank among words whose maximum entry is exactly b - 1
-    top = b - 1
-    rank = 0
-    seen_top = False
-    for pos, entry in enumerate(word):
-        rem = length - pos - 1
-        for d in range(entry):
-            if seen_top or d == top:
-                rank += b**rem
-            else:
-                rank += b**rem - (b - 1) ** rem
-        if entry == top:
-            seen_top = True
-    return idx + rank
+    idx = _words_through(b - 1) + sum(_tails(b, n, False) for n in range(1, length))
+    free = length == b
+    for rem, entry in zip(range(length - 1, -1, -1), word):
+        idx += entry * _tails(b, rem, free)
+        free = free or entry == b - 1
+    return idx
 
 
 def word_at(n: int) -> Word:
-    """Inverse of index_of."""
+    """Inverse of index_of, spending the same counts from the front."""
     if n < 0:
         raise ArgumentError("enumeration index must be non-negative")
-    if n == 0:
-        return ()
-    b = 1
-    while _cum_through(b) <= n:
-        b += 1
-    r = n - _cum_through(b - 1)
-    length = 1
-    while True:
-        g = _group_size(b, length)
-        if r < g:
-            break
-        r -= g
+    b = block_at(n)
+    r = n - _words_through(b - 1)
+    length = 0
+    while length < b and r >= (group := _tails(b, length, False)):
+        r -= group
         length += 1
-    if length == b:
-        digits = []
-        for _ in range(length):
-            digits.append(r % b)
-            r //= b
-        return tuple(reversed(digits))
     top = b - 1
     out = []
-    seen_top = False
-    for pos in range(length):
-        rem = length - pos - 1
-        for d in range(b):
-            if seen_top or d == top:
-                cnt = b**rem
-            else:
-                cnt = b**rem - (b - 1) ** rem
-            if r < cnt:
-                out.append(d)
-                seen_top = seen_top or d == top
-                break
-            r -= cnt
-        else:
-            raise AssertionError("unranking fell off the digit range")
+    free = length == b
+    for rem in range(length - 1, -1, -1):
+        tails = _tails(b, rem, free)
+        # Each entry below the top owns `tails` indices; the top owns the rest.
+        entry = r // tails if r < top * tails else top
+        r -= entry * tails
+        out.append(entry)
+        free = free or entry == top
     return tuple(out)
 
 
 def iter_words() -> Iterator[Word]:
     """All words in canonical order; cheaper than repeated word_at calls."""
-    yield ()
-    b = 1
-    while True:
-        for length in range(1, b + 1):
-            if length < b:
-                top = b - 1
-                for w in product(range(b), repeat=length):
-                    if top in w:
-                        yield w
-            else:
-                yield from product(range(b), repeat=b)
-        b += 1
+    for b in count():
+        for length in range(b):
+            yield from (w for w in product(range(b), repeat=length) if b - 1 in w)
+        yield from product(range(b), repeat=b)

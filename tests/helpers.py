@@ -152,6 +152,45 @@ def ref_gap_midpoints(n):
     return [ref_triadic_left(sigma) + Fraction(1, 2 * 3 ** len(sigma)) for sigma in islice(_bit_words(), n)]
 
 
+def ref_dyadics(n):
+    """First n dyadic rationals of (0, 1), level by level: the odd
+    numerators over 2, then over 4, 8, ..."""
+    out, level = [], 1
+    while len(out) < n:
+        out += [Fraction(num, 2**level) for num in range(1, 2**level, 2)]
+        level += 1
+    return out[:n]
+
+
+def ref_canonical_words(bound):
+    """Blocks 0..bound of the canonical enumeration, from its definition.
+
+    Those are all words of length at most bound with entries below
+    bound, sorted by block (max(len, 1 + max entry), 0 for the empty
+    word), then length, then entries.
+    """
+    words = [w for length in range(bound + 1) for w in product(range(bound), repeat=length)]
+    return sorted(words, key=lambda w: (max(len(w), 1 + max(w, default=-1)), len(w), w))
+
+
+def ref_word_to_dyadic(word):
+    """Per-entry definition: entry a_i writes a_i zeros and then a one,
+    so the i-th one sits at binary place a_0 + ... + a_i + i + 1."""
+    value, place = Fraction(0), 0
+    for entry in word:
+        place += entry + 1
+        value += Fraction(1, 2**place)
+    return value
+
+
+def ref_word_images(n):
+    """Dyadic images of the first n words of the canonical enumeration."""
+    bound = 0
+    while sum(bound**length for length in range(bound + 1)) < n:
+        bound += 1
+    return [ref_word_to_dyadic(w) for w in ref_canonical_words(bound)[:n]]
+
+
 def ref_double_bits(n):
     """Per-bit definition: each binary digit of n, twice."""
     out = []

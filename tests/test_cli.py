@@ -257,6 +257,33 @@ def test_cantor_extract_requires_stream(capsys):
     assert "--stream" in err
 
 
+def test_cantor_extract_without_stream_builds_nothing(capsys):
+    "the flags are checked before any scheme line is printed"
+    code, out, err = run(capsys, "cantor", "--depth", "2", "--extract", "Y")
+    assert (code, out, err) == (2, "", "error: --extract needs --stream FILE\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "cantor"])
+def test_huge_exponent_exit_two(capsys, tmp_path, command):
+    "an exponent past the digit limit is refused before Fraction computes its power"
+    path = tmp_path / "values.txt"
+    path.write_text("0 1e100000000\n")
+    argv = ("classify", str(path)) if command == "classify" else ("cantor", "--set", str(path), "--depth", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1: " + ("bad rational token '1e100000000': " if command == "classify" else "") + (
+        f"exponent of '1e100000000' is above {sys.get_int_max_str_digits()} in magnitude\n"
+    )
+
+
+def test_stage_file_reads_exponent_spellings(capsys, tmp_path):
+    path = tmp_path / "stages.txt"
+    path.write_text("0 1.5e-3\n2.5E-1 3e-1\n0.5 6E-1\n7.5e-1 1\n")
+    code, out, err = run(capsys, "cantor", "--set", str(path), "--depth", "1")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[0] == "e 0 1 [3/2000 1/4]"
+
+
 def test_cantor_extract_y(capsys, tmp_path):
     path = tmp_path / "xs.txt"
     path.write_text("1/2 5/12\n")

@@ -1,5 +1,6 @@
 """Interval schemes, streams, extractors, density diagnostics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,12 @@ from helpers import (
     brute_splitting_depth,
     colliding_rationals,
     ref_build_scheme,
+    ref_dyadics,
     ref_gap_midpoints,
     ref_gap_selector,
     ref_middle_thirds_endpoints,
     ref_prune_successor_endpoints,
+    ref_word_images,
 )
 from orderchains.dense import (
     MAX_DEPTH,
@@ -204,6 +207,20 @@ def test_middle_thirds_streams_match_per_bit_reference():
     assert gap_midpoint_stream().prefix(2000) == ref_gap_midpoints(2000)
 
 
+@pytest.mark.parametrize(
+    "make, ref",
+    [
+        (dyadic_stream, ref_dyadics),
+        (middle_thirds_endpoint_stream, ref_middle_thirds_endpoints),
+        (gap_midpoint_stream, ref_gap_midpoints),
+        (reduction_image_stream, ref_word_images),
+    ],
+)
+def test_built_in_streams_match_their_definitions(make, ref):
+    "the first 5 000 values of every built-in stream"
+    assert make().prefix(5000) == ref(5000)
+
+
 def test_reduction_image_stream_values():
     stream = reduction_image_stream()
     assert stream.value(0) == F(0)
@@ -227,6 +244,16 @@ def test_stream_exhaustion():
     stream = stream_from_values([F(1, 2)])
     with pytest.raises(StreamError):
         stream.value(1)
+
+
+def test_stream_draws_from_an_iterable_on_demand():
+    "an endless generator is drawn only as far as asked, and a non-rational is a StreamError"
+    drawn = []
+    stream = stream_from_values((drawn.append(n) or F(1, n) for n in itertools.count(1)), name="xs")
+    assert stream.value(4) == F(1, 5)
+    assert drawn == [1, 2, 3, 4, 5]
+    with pytest.raises(StreamError, match=r"^xs\[1\] is not a rational$"):
+        stream_from_values([F(1, 2), "x"], name="xs").prefix(2)
 
 
 def test_prune_keeps_top_and_drops_linked_endpoints():

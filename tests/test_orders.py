@@ -1,6 +1,7 @@
 """Comparison oracles: verdicts, strictness, axioms."""
 
 import enum
+import sys
 from fractions import Fraction
 
 import pytest
@@ -433,6 +434,16 @@ def test_rational_tokens_read_as_fraction_reads_them(text):
 @given(st.text(st.sampled_from(list("+-0123456789/_. ²") + ["٣", "٤", "𝟙"]), max_size=10))
 def test_rational_token_property(text):
     assert _parse_rational_or_error(text) == _fraction_reading(text)
+
+
+def test_exponents_past_the_digit_limit_are_refused():
+    "the power of ten is never computed for them; smaller exponents read as Fraction reads them"
+    limit = sys.get_int_max_str_digits()
+    for text in (f"0e{limit + 1}", f"1E-{limit + 1}", "1e100000000", "0E50000", f"2.5e+{limit + 1} "):
+        with pytest.raises(ParseError, match=f"exponent of .* is above {limit} in magnitude"):
+            parse_payload(text, Tag.RATIONAL)
+    for text in (f"0e{limit}", f"1e-{limit}", "1.5e-3", "-2E1_0"):
+        assert parse_payload(text, Tag.RATIONAL) == Fraction(text)
 
 
 def test_long_token_errors_stay_short():

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from orderchains.chains import Sequence, longest_chain
 from orderchains.errors import DomainMismatchError, ParseError
 from orderchains.orders import Element, Order, Tag, make_order
+from orderchains import reductions
 from orderchains.reductions import (
     PIPELINE_NAMES,
     POINTWISE_MAPS,
@@ -23,7 +24,7 @@ from orderchains.reductions import (
     make_pipeline,
     reduce_tree,
 )
-from orderchains.trees import filler, index_of, validate_tree, word_at
+from orderchains.trees import FiniteTree, filler, index_of, validate_tree, word_at
 
 subset_nat = make_order("SubsetWordNat")
 
@@ -58,6 +59,26 @@ def test_chain_bound_within_horizon():
     assert chain_bound_within_horizon(tree, 26) == 4
     empty = validate_tree([])
     assert chain_bound_within_horizon(empty, 100) == 0
+
+
+@given(st.integers(0, 10**6), st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_chain_bound_matches_its_definition(seed, horizon):
+    "skipping late blocks changes no bound: every node is ranked in the reference"
+    tree = generate_tree(TreeGenSpec(seed=seed, depth_cap=6, node_cap=40, max_children=5))
+    want = 1 + max((len(w) for w in tree.nodes if index_of(w) < horizon), default=-1)
+    assert chain_bound_within_horizon(tree, horizon) == want
+
+
+def test_chain_bound_on_a_deep_spine_ranks_only_early_nodes(monkeypatch):
+    "a 3 000-deep spine: nodes of blocks past the horizon are never ranked"
+    calls = []
+    monkeypatch.setattr(reductions, "index_of", lambda w: calls.append(w) or index_of(w))
+    spine = FiniteTree(frozenset((0,) * k for k in range(3001)))
+    # (0, 0, 0) sits at index 13 and (0, 0, 0, 0) at 85, in block 4.
+    assert chain_bound_within_horizon(spine, 14) == 4
+    assert chain_bound_within_horizon(spine, 13) == 3
+    assert calls and all(len(w) <= 3 for w in calls)
 
 
 def test_reduction_chain_matches_bound_exactly():

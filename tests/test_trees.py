@@ -1,13 +1,16 @@
 """Finite trees and the canonical enumeration of nat-words."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orderchains.errors import ParseError, TreePrefixError
+from helpers import ref_canonical_words
+from orderchains.errors import ArgumentError, ParseError, TreePrefixError
 from orderchains.trees import (
+    MAX_BLOCK,
     FiniteTree,
     filler,
     index_of,
@@ -51,6 +54,14 @@ def test_validate_tree_unknown_mode():
 def test_finite_tree_requires_closure():
     with pytest.raises(TreePrefixError):
         FiniteTree(frozenset({(0, 1)}))
+
+
+@pytest.mark.parametrize("build", [FiniteTree, validate_tree])
+def test_tree_gap_names_a_shortest_node(build):
+    "both constructors raise on a shortest node whose parent is missing"
+    with pytest.raises(TreePrefixError) as err:
+        build(frozenset({(), (3, 4, 5), (3, 4, 5, 6), (1, 2), (7, 7, 7, 7, 7)}))
+    assert (err.value.node, err.value.missing) == ((1, 2), (1,))
 
 
 def test_parse_tree_lines():
@@ -138,3 +149,36 @@ def test_enumeration_is_monotone_under_prefix():
 @settings(max_examples=300)
 def test_enumeration_monotone_random_extensions(word, suffix):
     assert index_of(word) < index_of(word + suffix)
+
+
+def test_enumeration_matches_its_definition_through_block_6():
+    "blocks 0-6 whole: iter_words, index_of and word_at against the sorted definition"
+    words = ref_canonical_words(6)
+    assert len(words) == 55987
+    assert list(itertools.islice(iter_words(), len(words))) == words
+    for n, w in enumerate(words):
+        assert index_of(w) == n
+        assert word_at(n) == w
+
+
+def test_enumeration_round_trips_up_to_10_to_the_40():
+    rng = random.Random(1504)
+    for _ in range(2000):
+        n = rng.randrange(10**40)
+        w = word_at(n)
+        assert index_of(w) == n
+        assert word_at(index_of(w)) == w
+
+
+@pytest.mark.parametrize("word", [(10**9,), (MAX_BLOCK,), (0,) * (MAX_BLOCK + 1), (10**5000, 0)])
+def test_index_of_refuses_blocks_past_the_cap(word):
+    "a word past block MAX_BLOCK raises before any power is computed"
+    with pytest.raises(ArgumentError, match=f"length at most {MAX_BLOCK} with entries below {MAX_BLOCK}"):
+        index_of(word)
+
+
+def test_word_at_refuses_indices_past_the_cap():
+    with pytest.raises(ArgumentError, match=f"past block {MAX_BLOCK}"):
+        word_at(10**50000)
+    # Block MAX_BLOCK itself still ranks: its words have about 49 000-bit indices.
+    assert index_of((MAX_BLOCK - 1,)).bit_length() > 49000
