@@ -2,14 +2,14 @@
 
 A ``Sequence`` is a domain tag and one tuple of payloads.  Payloads are
 validated once, where data enters: ``Sequence(tag, elements)`` checks
-each element's tag, and ``Sequence.from_payloads`` and
-``parse_sequence`` check the payloads in bulk.  Sequences the library
-derives from checked ones (``reduce_tree``, ``lift_map``,
+each element's tag, ``Sequence.from_payloads`` checks the payloads in
+bulk, and ``parse_sequence`` reads valid payloads only.  Sequences the
+library derives from checked ones (``reduce_tree``, ``lift_map``,
 ``UPSequence.unroll``) are built from payloads with no second check.
 ``items`` gives the terms as ``Element`` objects, built on first use and
-kept, for callers that want them.  The chain functions read payloads
-and build an ``Element`` only for a term they return or hand to the
-oracle.
+kept, for callers that want them.  The chain kernels compare payloads,
+after one tag check per sequence, and build an ``Element`` only for a
+term they return: the witness values, the constant value or a cycle.
 
 A chain witness is a strictly increasing index vector whose consecutive
 values are related under the oracle; relatedness is only required
@@ -28,6 +28,10 @@ the index that finds the best later start:
 * ``generic``: the plain O(n^2) scan over positions.  It is the fallback
   for an ``Order`` subclass that has neither, and the reference that
   ``method="generic"`` forces.
+
+Each index gives the rebuild its relation on positions: ``ranked`` by
+rank, the others by the oracle's relation on payloads.  ``linked`` and
+``generic`` then confirm each witness link through ``Order.related``.
 
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
 routine for linear oracles; it must agree with the DP on length.
@@ -132,7 +136,7 @@ class Sequence:
 
 def parse_sequence(text: str, tag: Tag) -> Sequence:
     """Parse whitespace-separated element tokens."""
-    return Sequence.from_payloads(tag, [parse_payload(t, tag) for t in text.split()])
+    return Sequence._trusted(tag, tuple([parse_payload(t, tag) for t in text.split()]))
 
 
 def format_sequence(seq: Sequence) -> str:
@@ -160,6 +164,10 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     ``lower_links`` is not None, and the O(n^2) generic scan for the
     rest.  ``method="generic"`` forces that scan, the reference the
     other indexes are tested against.
+
+    The kernels compare payloads, and an ``Element`` is built for each
+    witness term only.  The lower-link and generic rebuilds confirm each
+    witness link through ``order.related``; the ranked one calls no oracle.
     """
     payloads = y.payloads()
     n = len(payloads)
@@ -171,28 +179,19 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     tag = y.tag
     order.check_tag(tag)
 
-    # The witness rebuild hands the oracle elements: each candidate is
-    # built once, when first compared, and the chosen ones are kept.
-    built: dict[int, Element] = {}
-
-    def element(i):
-        el = built.get(i)
-        if el is None:
-            el = built[i] = Element(tag, payloads[i])
-        return el
-
-    def rel(i, j):
-        return order.related(element(i), element(j))
-
-    if method == "generic":
-        starts = _suffix_lengths_generic(y.items, order)
-    elif order.is_linear:
+    ranked = method == "auto" and order.is_linear
+    if ranked:
         starts, rel = _suffix_lengths_ranked(payloads, order)
     else:
+        related = order._related
+
+        def rel(i, j):
+            return related(payloads[i], payloads[j])
+
         ids, distinct = _value_ids(payloads)
-        links = order.lower_links(distinct)
+        links = order.lower_links(distinct) if method == "auto" else None
         if links is None:
-            starts = _suffix_lengths_generic(y.items, order)
+            starts = _suffix_lengths_generic(payloads, related)
         else:
             starts = _suffix_lengths_linked(ids, links, order.strict)
 
@@ -207,8 +206,12 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
             need -= 1
             if need == 0:
                 break
-    witness = ChainWitness(tuple(indices), tuple(map(element, indices)))
-    return best, witness
+    values = tuple(Element(tag, payloads[i]) for i in indices)
+    if not ranked:
+        for a, b in zip(values, values[1:]):
+            if not order.related(a, b):
+                raise AssertionError(f"{order.name} does not relate the witness link {a} -> {b}")
+    return best, ChainWitness(tuple(indices), values)
 
 
 def _value_ids(payloads):
@@ -226,14 +229,14 @@ def _value_ids(payloads):
     return ids, distinct
 
 
-def _suffix_lengths_generic(items, order):
-    n = len(items)
+def _suffix_lengths_generic(payloads, related):
+    n = len(payloads)
     starts = [1] * n
     for i in range(n - 2, -1, -1):
-        yi = items[i]
+        x = payloads[i]
         best = 0
         for j in range(i + 1, n):
-            if starts[j] > best and order.related(yi, items[j]):
+            if starts[j] > best and related(x, payloads[j]):
                 best = starts[j]
         starts[i] = 1 + best
     return starts
@@ -328,14 +331,13 @@ def verify_witness(indices, y: Sequence, order: Order) -> bool:
     for i in idx:
         if not 0 <= i < n:
             raise WitnessIndexError(f"witness index {i} outside sequence of length {n}")
-    for a, b in zip(idx, idx[1:]):
-        if not a < b:
-            return False
-    items = y.items
-    for a, b in zip(idx, idx[1:]):
-        if not order.related(items[a], items[b]):
-            return False
-    return True
+    links = list(zip(idx, idx[1:]))
+    if not all(a < b for a, b in links):
+        return False
+    if links:
+        order.check_tag(y.tag)
+    payloads, related = y.payloads(), order._related
+    return all(related(payloads[a], payloads[b]) for a, b in links)
 
 
 def constant_subsequence(y: Sequence) -> tuple[Element, int]:

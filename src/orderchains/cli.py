@@ -67,7 +67,8 @@ def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
-    return chains.Sequence.from_payloads(tag, _read_tokens(path, orders.parse_payload, tag))
+    # parse_payload returns valid payloads only.
+    return chains.Sequence._trusted(tag, tuple(_read_tokens(path, orders.parse_payload, tag)))
 
 
 def _read_tree(path: str, mode: str) -> trees.FiniteTree:

@@ -384,7 +384,7 @@ def dense_embed(
     placed_keys: list = []
     placed_vals: list[Fraction] = []
     for el in elems:
-        order.check_element(el)
+        order.check_tag(el.tag)
         if el in images:
             raise DuplicateElementError(f"duplicate source element {el}")
         key = order.sort_key(el)

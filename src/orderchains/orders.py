@@ -3,10 +3,10 @@
 Each oracle answers a four-valued ``compare`` (LT / EQ / GT /
 INCOMPARABLE) that is independent of strictness; ``related`` projects
 the verdict onto the strict or reflexive reading the oracle was built
-with.  A linear oracle states its order once, as one key per payload
-that embeds it into Python's native comparisons: ``compare`` and
-``sort_key`` both derive from that key, and the chain algorithms rank
-by it.
+with; ``_compare`` and ``_related`` do the same on unchecked payloads.
+A linear oracle states its order once, as one key per payload that
+embeds it into Python's native comparisons: ``compare`` and ``sort_key``
+both derive from that key, and the chain algorithms rank by it.
 """
 
 from __future__ import annotations
@@ -65,6 +65,18 @@ LT, EQ, GT, INCOMPARABLE = Cmp.LT, Cmp.EQ, Cmp.GT, Cmp.INCOMPARABLE
 _MIRROR = {LT: GT, GT: LT, EQ: EQ, INCOMPARABLE: INCOMPARABLE}
 
 
+# Domain rules per tag, read by ``Element`` and the bulk check: whether a
+# payload is a word (a tuple of entries), the type of a scalar or entry
+# (never bool), its least and greatest value (None: none), the error text.
+_DOMAINS = {
+    _NAT: (False, int, 1, None, "nat elements are integers >= 1"),
+    _INT: (False, int, None, None, "int elements are integers"),
+    _RATIONAL: (False, Fraction, None, None, "rational elements are Fractions"),
+    _WORD_NAT: (True, int, 0, None, "word elements are tuples of naturals"),
+    _WORD_BIT: (True, int, 0, 1, "bit-word elements are tuples over {0,1}"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Element:
     """A tagged value from one of the supported domains."""
@@ -73,35 +85,11 @@ class Element:
     value: object
 
     def __post_init__(self):
-        tag, value = self.tag, self.value
-        if tag is _NAT:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise DomainMismatchError(f"nat elements are integers >= 1, got {value!r}")
-        elif tag is _INT:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainMismatchError(f"int elements are integers, got {value!r}")
-        elif tag is _RATIONAL:
-            if not isinstance(value, Fraction):
-                raise DomainMismatchError(f"rational elements are Fractions, got {value!r}")
-        elif tag is _WORD_NAT:
-            if not _is_word(value):
-                raise DomainMismatchError(f"word elements are tuples of naturals, got {value!r}")
-        elif tag is _WORD_BIT:
-            if not _is_word(value) or (value and max(value) > 1):
-                raise DomainMismatchError(f"bit-word elements are tuples over {{0,1}}, got {value!r}")
+        if not _valid_payloads(self.tag, (self.value,)):
+            raise DomainMismatchError(f"{_DOMAINS[self.tag][-1]}, got {self.value!r}")
 
     def __str__(self):
         return format_element(self)
-
-
-def _is_word(value) -> bool:
-    if not isinstance(value, tuple):
-        return False
-    # Entries of exact type int need only a sign check; bools, int
-    # subclasses and everything else take the per-entry test.
-    if set(map(type, value)) <= {int}:
-        return not value or min(value) >= 0
-    return all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value)
 
 
 def make_element(tag: Tag, payload) -> Element:
@@ -120,31 +108,32 @@ def make_element(tag: Tag, payload) -> Element:
 def validate_payloads(tag: Tag, payloads) -> tuple:
     """The payloads as one tuple, each checked as ``make_element`` checks it.
 
-    Payloads of the exact native types (ints, ``Fraction``s, tuples of
-    ints) are checked in bulk.  Anything else takes the per-term path,
-    which normalises the spellings ``make_element`` accepts and raises
-    its error on the first bad payload.
+    Payloads valid as they are (ints, ``Fraction``s, tuples of ints) are
+    checked in bulk.  Anything else takes the per-term path, which
+    normalises the spellings ``make_element`` accepts and raises its
+    error on the first bad payload.
     """
     values = tuple(payloads)
-    if _plain_payloads(tag, values):
+    if _valid_payloads(tag, values):
         return values
     return tuple(make_element(tag, p).value for p in values)
 
 
-def _plain_payloads(tag: Tag, values: tuple) -> bool:
-    types = set(map(type, values))
-    if tag is _INT:
-        return types <= {int}
-    if tag is _NAT:
-        return types <= {int} and (not values or min(values) >= 1)
-    if tag is _RATIONAL:
-        return types <= {Fraction}
-    # Word tags.  A set of all entries is safe only once every entry is
-    # an exact int, since True and 1 are one set member.
-    if not types <= {tuple} or not set(map(type, chain.from_iterable(values))) <= {int}:
+def _valid_payloads(tag: Tag, values: tuple) -> bool:
+    """Whether every payload is valid for ``tag`` as it is: one set test
+    for exact native types, ``isinstance`` for subclasses (never bool).
+    An object that is not a ``Tag`` has no rules."""
+    rules = _DOMAINS.get(tag)
+    if rules is None:
+        return True
+    word, kind, lo, hi, _ = rules
+    if word:
+        if not (set(map(type, values)) <= {tuple} or all(isinstance(v, tuple) for v in values)):
+            return False
+        values = list(chain.from_iterable(values))
+    if not (set(map(type, values)) <= {kind} or all(isinstance(a, kind) and not isinstance(a, bool) for a in values)):
         return False
-    entries = set(chain.from_iterable(values))
-    return not entries or (min(entries) >= 0 and (tag is not _WORD_BIT or max(entries) <= 1))
+    return not values or ((lo is None or min(values) >= lo) and (hi is None or max(values) <= hi))
 
 
 def parse_payload(text: str, tag: Tag):
@@ -248,18 +237,21 @@ class Order:
 
     def compare(self, a: Element, b: Element) -> Cmp:
         """Four-valued comparison; LT always means strictly below."""
-        self.check_element(a)
-        self.check_element(b)
+        self.check_tag(a.tag)
+        self.check_tag(b.tag)
         return self._compare(a.value, b.value)
 
     def related(self, a: Element, b: Element) -> bool:
         """True iff a precedes b under this oracle's strictness convention."""
-        verdict = self.compare(a, b)
-        return verdict is LT or (verdict is EQ and not self.strict)
+        return self._holds(self.compare(a, b))
 
-    def check_element(self, el: Element) -> None:
-        if el.tag is not self.domain:
-            self.check_tag(el.tag)
+    def _related(self, x, y) -> bool:
+        """``related`` on two payloads of this oracle's domain, unchecked."""
+        return self._holds(self._compare(x, y))
+
+    def _holds(self, verdict: Cmp) -> bool:
+        """Whether a verdict relates its pair under this oracle's strictness."""
+        return verdict is LT or (verdict is EQ and not self.strict)
 
     def check_tag(self, tag: Tag) -> None:
         """Raise DomainMismatchError unless ``tag`` is this oracle's domain."""
@@ -521,26 +513,36 @@ class AxiomReport:
 KNOWN_AXIOMS = ("reflexivity", "antisymmetry", "transitivity", "totality")
 
 
+# The largest support check_axioms takes: its n^3 transitivity scan takes
+# 8-10 s at this size on a 2-core machine under IntLess, RatLess or RL.
+MAX_AXIOM_SUPPORT = 900
+
+
 def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     """Check order axioms exhaustively on a finite support.
 
     By default reflexivity, antisymmetry and transitivity are checked,
     plus totality when the oracle claims linearity.  Pass ``axioms`` to
     probe a different set (e.g. totality of a partial order).  The
-    report lists every violated instance.
+    report lists every violated instance.  A support of more than
+    ``MAX_AXIOM_SUPPORT`` elements raises ``ArgumentError``.
     """
     elems = list(support)
+    n = len(elems)
+    if n > MAX_AXIOM_SUPPORT:
+        raise ArgumentError(f"check_axioms takes at most {MAX_AXIOM_SUPPORT} support elements, got {n}")
     if axioms is None:
-        axioms = ("reflexivity", "antisymmetry", "transitivity") + (
-            ("totality",) if order.is_linear else ()
-        )
+        axioms = KNOWN_AXIOMS if order.is_linear else KNOWN_AXIOMS[:3]
     else:
         axioms = tuple(axioms)
         for ax in axioms:
             if ax not in KNOWN_AXIOMS:
                 raise ParseError(f"unknown axiom {quote_token(ax)}; known: {', '.join(KNOWN_AXIOMS)}")
-    n = len(elems)
-    cmp_matrix = [[order.compare(a, b) for b in elems] for a in elems]
+    for el in elems:
+        order.check_tag(el.tag)
+    values = [el.value for el in elems]
+    compare = order._compare
+    cmp_matrix = [[compare(x, y) for y in values] for x in values]
     violations: list[AxiomViolation] = []
 
     if "reflexivity" in axioms:
@@ -551,17 +553,13 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     if "antisymmetry" in axioms:
         for i in range(n):
             for j in range(i + 1, n):
-                if cmp_matrix[j][i] is not _MIRROR[cmp_matrix[i][j]]:
-                    violations.append(AxiomViolation("antisymmetry", (elems[i], elems[j])))
-                elif cmp_matrix[i][j] is EQ and elems[i] != elems[j]:
+                c = cmp_matrix[i][j]
+                if cmp_matrix[j][i] is not _MIRROR[c] or (c is EQ and values[i] != values[j]):
                     violations.append(AxiomViolation("antisymmetry", (elems[i], elems[j])))
 
     if "transitivity" in axioms:
-        strict = order.strict
-        rel = [
-            [c is LT or (c is EQ and not strict) for c in row]
-            for row in cmp_matrix
-        ]
+        holds = order._holds
+        rel = [list(map(holds, row)) for row in cmp_matrix]
         for i in range(n):
             rel_i = rel[i]
             for j in range(n):

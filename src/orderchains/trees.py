@@ -16,6 +16,7 @@ b**rem - (b - 1)**rem that hold it.  Nothing is cached between calls.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterable, Iterator
@@ -128,10 +129,8 @@ def block_at(n: int) -> int:
     """The block of the n-th word, block_of(word_at(n))."""
     if n >= _INDEX_CAP:
         raise ArgumentError(f"enumeration index past block {MAX_BLOCK}, the last the enumeration ranks")
-    b = 0
-    while _words_through(b) <= n:
-        b += 1
-    return b
+    # Blocks 0..b hold over b**b >= 2**b words, so bisect below max(bits of n, 2).
+    return bisect_right(range(min(max(n.bit_length(), 2), MAX_BLOCK + 1)), n, key=_words_through)
 
 
 def index_of(word: Word) -> int:

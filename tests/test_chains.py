@@ -26,7 +26,8 @@ from orderchains.errors import (
     ParseError,
     WitnessIndexError,
 )
-from orderchains.orders import DividesOrder, Order, Tag, make_element, make_order
+from orderchains.orders import DividesOrder, Element, Order, Tag, make_element, make_order
+from orderchains.reductions import TreeGenSpec, generate_tree, make_pipeline, reduce_tree
 
 int_less = make_order("IntLess")
 divides = make_order("Divides")
@@ -322,6 +323,75 @@ def test_verify_witness_rejects_bad_indices():
 def test_verify_witness_rejects_broken_link():
     seq = int_seq([1, 5, 2])
     assert not verify_witness([1, 2], seq, int_less)
+
+
+def test_verify_witness_checks_the_domain_at_the_first_link():
+    "the tag check sits where the first link is compared, after the index checks"
+    nats = Sequence.from_payloads(Tag.NAT, [1, 2, 3])
+    assert verify_witness([0], nats, int_less)
+    assert verify_witness([], nats, int_less)
+    assert not verify_witness([1, 0], nats, int_less)
+    with pytest.raises(DomainMismatchError) as info:
+        verify_witness([0, 1], nats, int_less)
+    assert str(info.value) == "IntLess compares int elements, got nat"
+
+
+def _count_elements(monkeypatch):
+    "a counter of Element.__post_init__ calls"
+    built = [0]
+    post_init = Element.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "order, method, payloads",
+    [
+        (int_less, "auto", [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]),
+        (divides, "auto", [6, 2, 3, 12, 4, 24, 5, 48, 7]),
+        (divides, "generic", [6, 2, 3, 12, 4, 24, 5, 48, 7]),
+    ],
+    ids=["ranked", "linked", "generic"],
+)
+def test_longest_chain_builds_one_element_per_witness_term(monkeypatch, order, method, payloads):
+    "each index builds the witness Elements alone"
+    seq = Sequence.from_payloads(order.domain, payloads)
+    built = _count_elements(monkeypatch)
+    length, witness = longest_chain(seq, order, method=method)
+    assert length >= 3
+    assert built[0] == length == len(witness.values)
+
+
+def test_reduction_images_build_one_element_per_witness_term(monkeypatch):
+    "on default fuzz trees the prefix-order rebuild builds no Element beyond the witness"
+    images = [reduce_tree(generate_tree(TreeGenSpec(seed=seed)), 200) for seed in range(200)]
+    built = _count_elements(monkeypatch)
+    for name in ("subset", "binary"):
+        pipeline = make_pipeline(name)
+        for image in images:
+            built[0] = 0
+            length, _ = longest_chain(pipeline.apply(image), pipeline.order)
+            assert built[0] == length
+
+
+class _LooseDivides(DividesOrder):
+    "a payload relation that relates every pair, unlike compare"
+
+    def _related(self, x, y):
+        return True
+
+
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_witness_link_the_oracle_refuses_is_a_bug(method):
+    "the linked and generic rebuilds confirm every witness link through related"
+    seq = Sequence.from_payloads(Tag.NAT, [2, 3, 4])
+    with pytest.raises(AssertionError, match="Divides"):
+        longest_chain(seq, _LooseDivides(), method=method)
 
 
 def test_constant_subsequence_earliest_tie():

@@ -432,6 +432,16 @@ def test_check_axioms_violation_exits_one(capsys, tmp_path):
     assert "totality violated" in out
 
 
+def test_check_axioms_refuses_a_support_past_the_cap(capsys, tmp_path):
+    "a support file past the cap is an input error"
+    path = tmp_path / "ints.txt"
+    path.write_text("0\n" * (orderchains.orders.MAX_AXIOM_SUPPORT + 1))
+    code, out, err = run(capsys, "check-axioms", str(path), "--order", "IntLess")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "support elements" in err
+
+
 def test_check_axioms_delta_needs_tag(capsys, tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("e 0.1 0.1.2\n")

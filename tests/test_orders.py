@@ -10,12 +10,13 @@ import hypothesis.strategies as st
 
 from helpers import colliding_rationals
 from orderchains.chains import Sequence
-from orderchains.errors import DomainMismatchError, ParseError
+from orderchains.errors import ArgumentError, DomainMismatchError, ParseError
 from orderchains.orders import (
     EQ,
     GT,
     INCOMPARABLE,
     LT,
+    MAX_AXIOM_SUPPORT,
     ORDER_NAMES,
     Element,
     Tag,
@@ -392,6 +393,54 @@ def test_linear_oracles_check_totality_by_default():
 def test_unknown_axiom_name():
     with pytest.raises(ParseError):
         check_axioms(make_order("IntLess"), [], axioms=("density",))
+
+
+def test_check_axioms_refuses_a_support_past_the_cap():
+    "a support past the cap raises before any comparison"
+    order = make_order("IntLess")
+    order._compare = lambda x, y: pytest.fail("check_axioms compared past its cap")
+    support = [make_element(Tag.INT, 0)] * (MAX_AXIOM_SUPPORT + 1)
+    with pytest.raises(ArgumentError, match=f"at most {MAX_AXIOM_SUPPORT} support elements"):
+        check_axioms(order, support)
+
+
+@pytest.mark.parametrize(
+    "support, got",
+    [
+        ([(Tag.INT, 1), (Tag.NAT, 2), (Tag.RATIONAL, Fraction(1, 2))], "nat"),
+        ([(Tag.RATIONAL, Fraction(1, 2)), (Tag.NAT, 2), (Tag.INT, 1)], "rational"),
+        ([(Tag.INT, 1), (Tag.INT, 2), (Tag.WORD_NAT, (0,))], "word"),
+    ],
+)
+def test_check_axioms_names_the_first_off_domain_element(support, got):
+    "a mixed support raises for its first element of another domain, in support order"
+    with pytest.raises(DomainMismatchError) as info:
+        check_axioms(make_order("IntLess"), [Element(tag, p) for tag, p in support])
+    assert str(info.value) == f"IntLess compares int elements, got {got}"
+
+
+# Tokens of every shape the parsers meet: integers, fractions, decimals,
+# dotted words, bit strings and loose characters.
+_TOKENS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-99, 99), st.integers(-9, 99)),
+    st.lists(st.integers(0, 12), max_size=5).map(lambda w: ".".join(map(str, w)) or "e"),
+    st.text("01", max_size=8),
+    st.text("0123456789-+./eE_ ", max_size=10),
+)
+
+
+@pytest.mark.parametrize("tag", list(Tag))
+@given(token=_TOKENS)
+def test_parse_payload_returns_valid_payloads(tag, token):
+    "every payload parse_payload returns passes the bulk check as it is"
+    try:
+        payload = parse_payload(token, tag)
+    except ParseError:
+        return
+    got = validate_payloads(tag, [payload])
+    assert got == (payload,)
+    assert type(got[0]) is type(payload)
 
 
 def _fraction_reading(text):

@@ -257,7 +257,7 @@ def test_reduction_terms_validate(seed, horizon):
 
 
 def test_fuzz_trial_builds_no_element_per_term(monkeypatch):
-    "a trial builds an Element only for the witness and the candidates its rebuild hands the oracle"
+    "a trial builds an Element only for the witness, and confirms each witness link once on partial orders"
     counts = {"built": 0, "related": 0}
     post_init, related = Element.__post_init__, Order.related
 
@@ -280,9 +280,8 @@ def test_fuzz_trial_builds_no_element_per_term(monkeypatch):
                 # The ranked rebuild compares ranks: one Element per witness term.
                 assert counts == {"built": row.l_img, "related": 0}
             else:
-                # Each candidate after the first is built once, for one oracle call.
-                assert counts["built"] == counts["related"] + 1
-                assert counts["built"] <= row.l_img + counts["related"]
+                # The rebuild picks links on payloads, then confirms each through related.
+                assert counts == {"built": row.l_img, "related": row.l_img - 1}
 
 
 def _witness(name, image):

@@ -1,8 +1,9 @@
 """The benchmark tracer's hooks name real functions and methods.
 
 ``perfbench/tracing.py`` wraps package functions by module attribute and
-methods by class ``__dict__`` entry.  A rename in the package would only
-show as a failed traced benchmark run; this test makes it fail here.
+methods by class ``__dict__`` entry.  A rename in the package, or a
+change that stops a workload from calling a traced layer, would only
+show as a failed traced benchmark run; these tests make it fail here.
 """
 
 import importlib
@@ -11,17 +12,21 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import orderchains
+import orderchains.cli  # noqa: F401  (the package does not import it)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _tracing()
+tracing = _load("tracing")
+run = _load("run")
 
 
 @pytest.mark.parametrize("module", tracing.MODULES[1:])
@@ -42,3 +47,19 @@ def test_traced_methods_are_defined_on_their_class(metric, module, cls, method):
 def test_word_counter_hook_exists():
     "the tracer counts enumerated words by wrapping trees.iter_words"
     assert callable(importlib.import_module("orderchains.trees").iter_words)
+
+
+@pytest.mark.parametrize("workload", ["fuzz", "chains", "cli"])
+def test_one_traced_round_reaches_every_layer(workload, tmp_path):
+    "one round of the workload at seed 101 calls every layer its traced run needs"
+    ops = run.inputs.operations(workload, 101)
+    run.write_inputs(ops, str(tmp_path))
+    calls = [run.worker.bind(orderchains, op, str(tmp_path)) for op in ops]
+    tracer = tracing.Tracer(orderchains)
+    tracer.install()
+    try:
+        for call in calls:
+            call()
+    finally:
+        tracer.uninstall()
+    assert [name for name in run.REACHES[workload] if not tracer.calls.get(name)] == []

@@ -12,6 +12,8 @@ from orderchains.errors import ArgumentError, ParseError, TreePrefixError
 from orderchains.trees import (
     MAX_BLOCK,
     FiniteTree,
+    _words_through,
+    block_at,
     filler,
     index_of,
     iter_words,
@@ -182,3 +184,14 @@ def test_word_at_refuses_indices_past_the_cap():
         word_at(10**50000)
     # Block MAX_BLOCK itself still ranks: its words have about 49 000-bit indices.
     assert index_of((MAX_BLOCK - 1,)).bit_length() > 49000
+
+
+@pytest.mark.parametrize("b", list(range(61)) + [MAX_BLOCK])
+def test_block_at_meets_every_block_boundary(b):
+    "the last index of block b lies in b, and the next one in b + 1"
+    assert block_at(_words_through(b) - 1) == b
+    if b < MAX_BLOCK:
+        assert block_at(_words_through(b)) == b + 1
+    else:
+        with pytest.raises(ArgumentError, match=f"past block {MAX_BLOCK}"):
+            block_at(_words_through(b))
