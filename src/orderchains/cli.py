@@ -181,7 +181,7 @@ def cmd_cantor(args) -> int:
         print(line)
     if args.extract:
         values = _read_rationals(args.stream)
-        stream = dense.stream_from_values(values, name=args.stream)
+        stream = dense.CountableSetStream(values, name=args.stream)
         count = args.count if args.count is not None else len(values)
         if args.extract == "P":
             picked = dense.prune_successor_endpoints(stream, scheme, count)

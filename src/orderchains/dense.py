@@ -3,14 +3,15 @@
 A closed subset of [0, 1] is consumed through stagewise
 interval-union approximations.  ``build_scheme`` splits [0, 1] along
 maximal stage gaps into a binary family of closed intervals C_sigma with
-one removed open gap U_sigma per split.  The extractors turn a countable
-dense-in-the-set stream into order-dense subsets: one (P) by pruning
-right endpoints whose successor interval starts inside the stream, one
-(Y) by selecting the earliest stream element inside each gap.  Adjacent
-same-length intervals sit on either side of one gap, so P reads its
-pairs off the gaps.  The remaining operations measure how densely
-ordered a finite rational set is and embed finite linear orders into
-countable dense targets.
+one removed open gap U_sigma per split, working on stage component
+indices alone.  The extractors turn a countable dense-in-the-set stream
+into order-dense subsets: one (P) by pruning right endpoints whose
+successor interval starts inside the stream, one (Y) by selecting the
+earliest stream element inside each gap.  Adjacent same-length
+intervals sit on either side of one gap, so P reads its pairs off the
+gaps.  The remaining operations measure how densely ordered a finite
+rational set is and embed finite linear orders into countable dense
+targets.
 
 Values stay exact ``Fraction``s, but a ``Fraction`` hashes and compares
 in Python, so the hot paths key them instead.  Equality (repeats,
@@ -19,7 +20,8 @@ unique since ``Fraction``s are normalised and which hashes in C.  Order
 (sorts, bisects, widest gap) keys on ``orders.rational_key``, the
 ``(float, Fraction)`` pair that reaches the ``Fraction`` only on a float
 tie.  The middle-thirds stages and streams share one geometry, integer
-numerators over 3^k, made into ``Fraction``s only when asked for.
+numerators over 3^k, made into ``Fraction``s only when asked for.  The
+stage oracles keep no state; a stream keeps only the prefix it has drawn.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Iterable
 
 from .encodings import word_to_dyadic
@@ -73,29 +75,22 @@ def _middle_thirds_lefts():
 class MiddleThirds:
     """Stage oracle for the classical middle-thirds set.
 
-    Stage k is kept as the left numerators of its intervals.  Stages
-    beyond ``MAX_DEPTH + 1`` (the finest a scheme can ask for) are
-    refused, since stage k has 2**k components.
+    Each call builds stage k afresh from the left numerators of its
+    intervals; nothing is kept between calls.  Negative stages and
+    stages beyond ``MAX_DEPTH + 1`` (the finest a scheme can ask for)
+    are refused, since stage k has 2**k components.
     """
 
     name = "cantor3"
 
-    def __init__(self):
-        self._levels = _middle_thirds_lefts()
-        self._lefts: list[list[int]] = [next(self._levels)]
-        self._stages: dict[int, tuple[Interval, ...]] = {}
-
     def stage(self, k: int) -> tuple[Interval, ...]:
+        if k < 0:
+            raise SchemeError(f"middle-thirds stage {k} is negative")
         if k > MAX_DEPTH + 1:
             raise SchemeError(f"middle-thirds stage {k} has 2^{k} components, above the cap of 2^{MAX_DEPTH + 1}")
-        while len(self._lefts) <= k:
-            self._lefts.append(next(self._levels))
-        # A negative k counts back from the finest stage built so far.
-        k = range(len(self._lefts))[k]
-        if k not in self._stages:
-            den = 3**k
-            self._stages[k] = tuple((Fraction(a, den), Fraction(a + 1, den)) for a in self._lefts[k])
-        return self._stages[k]
+        lefts = next(islice(_middle_thirds_lefts(), k, None))
+        den = 3**k
+        return tuple((Fraction(a, den), Fraction(a + 1, den)) for a in lefts)
 
     def components(self, k: int) -> int:
         """len(self.stage(k)), without building the stage."""
@@ -158,12 +153,16 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
     ``components(k)`` without building the coarser stages.  Ties
     between equally wide gaps go to the leftmost.  A split with no
     available gap raises, naming the bit-word where the construction got
-    stuck.  Depths above ``MAX_DEPTH`` raise before any stage is built:
-    they need a stage of more than 2**(MAX_DEPTH + 1) components and as
-    many intervals, more than fits in memory.
+    stuck.  A negative resolution, and depths above ``MAX_DEPTH``, raise
+    before any stage is built: such depths need a stage of more than
+    2**(MAX_DEPTH + 1) components and as many intervals, more than fits
+    in memory.
 
-    Each gap's endpoints and width are keyed once.  Equal widths share
-    one key object, so a tie is settled by identity, in C.
+    Stage gap j lies between components j and j + 1.  C_sigma spans
+    components first..stop, so its word carries the gaps range(first,
+    stop), and a split at gap j hands (first, j) and (j + 1, stop) to the
+    children.  Equal gap widths share one key object, so a tie is
+    settled by identity, in C.
     """
     if depth < 0:
         raise SchemeError("depth must be non-negative")
@@ -178,6 +177,8 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
                     f"no stage below resolution {MAX_RESOLUTION} has 2^{depth + 1} components"
                 )
         resolution = k
+    elif resolution < 0:
+        raise SchemeError("resolution must be non-negative")
     comps = list(oracle.stage(resolution))
     if not comps or comps[0][0] != 0 or comps[-1][1] != 1:
         raise SchemeError("stage representation must span [0, 1]")
@@ -190,32 +191,26 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
     interned: dict[tuple[int, int], tuple] = {}
     width_keys = [interned.setdefault(_identity(w), rational_key(w)) for w in widths]
 
-    zero, one = Fraction(0), Fraction(1)
-    closed: dict[Word, Interval] = {(): (zero, one)}
+    closed: dict[Word, Interval] = {(): (Fraction(0), Fraction(1))}
     gaps: dict[Word, Interval] = {}
-    # The words of one depth in lexicographic order, with their keys: a
-    # failing split raises at the least failing word of the shallowest
-    # failing depth.
-    level = [((), rational_key(zero), rational_key(one))]
+    # The words of one depth in lexicographic order, with their gap
+    # ranges: a failing split raises at the least failing word of the
+    # shallowest failing depth.
+    level = [((), 0, len(comps) - 1)]
     for _ in range(depth):
         deeper = []
-        for sigma, lo_key, hi_key in level:
-            best = None
-            for j in range(bisect.bisect_left(lo_keys, lo_key), len(lo_keys)):
-                if lo_keys[j] >= hi_key:
-                    break
-                if hi_keys[j] <= hi_key and (best is None or width_keys[j] > width_keys[best]):
-                    best = j
-            if best is None:
+        for sigma, first, stop in level:
+            if first == stop:
                 raise SchemeError(f"no stage gap inside C at {sigma}", sigma=sigma)
-            a_key, b_key = lo_keys[best], hi_keys[best]
-            if not lo_key < a_key < b_key < hi_key:
+            j = max(range(first, stop), key=width_keys.__getitem__)
+            # Only a point component at either end of C can touch the gap.
+            if not ends[2 * first] < lo_keys[j] < hi_keys[j] < ends[2 * stop + 1]:
                 raise SchemeError(f"degenerate split at {sigma}", sigma=sigma)
             lo, hi = closed[sigma]
-            a, b = gaps[sigma] = (a_key[1], b_key[1])
+            a, b = gaps[sigma] = (comps[j][1], comps[j + 1][0])
             closed[sigma + (0,)] = (lo, a)
             closed[sigma + (1,)] = (b, hi)
-            deeper += [(sigma + (0,), lo_key, a_key), (sigma + (1,), b_key, hi_key)]
+            deeper += [(sigma + (0,), first, j), (sigma + (1,), j + 1, stop)]
         level = deeper
     return IntervalScheme(depth, resolution, closed, gaps)
 
@@ -253,10 +248,6 @@ class CountableSetStream:
 
     def prefix(self, n: int) -> list[Fraction]:
         return [self.value(i) for i in range(n)]
-
-
-def stream_from_values(values: Iterable[Fraction], name: str = "file-stream") -> CountableSetStream:
-    return CountableSetStream(values, name=name)
 
 
 def dyadic_stream() -> CountableSetStream:
@@ -374,13 +365,13 @@ def dense_embed(
 
     Elements are inserted in the given enumeration order; each one takes
     the earliest stream value strictly between the images of its nearest
-    already-placed neighbours.  Runs out of budget only if the stream is
-    not dense enough between those images.
+    already-placed neighbours.  The images stay sorted, so no image
+    already taken lies strictly between two neighbours.  Runs out of
+    budget only if the stream is not dense enough between those images.
     """
     if not order.is_linear:
         raise LinearityError(f"dense_embed needs a linear source order, got {order.name}")
     images: dict[Element, Fraction] = {}
-    used: set[Fraction] = set()
     placed_keys: list = []
     placed_vals: list[Fraction] = []
     for el in elems:
@@ -393,11 +384,8 @@ def dense_embed(
         hi = placed_vals[pos] if pos < len(placed_vals) else None
         for i in range(budget):
             v = target.value(i)
-            if v in used:
-                continue
             if (lo is None or v > lo) and (hi is None or v < hi):
                 images[el] = v
-                used.add(v)
                 placed_keys.insert(pos, key)
                 placed_vals.insert(pos, v)
                 break

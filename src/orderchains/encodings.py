@@ -12,10 +12,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ArgumentOrderError, DomainMismatchError
-from .orders import LT, BitLexOrder
 from .words import Word, is_prefix
 
-_BIT_LEX = BitLexOrder()
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -84,7 +82,8 @@ def format_dyadic_binary(value: Fraction) -> str:
 
 
 def lex_between(a: Word, b: Word) -> Word:
-    """A bit-word ending in 1 strictly between a and b lexicographically.
+    """A bit-word ending in 1 strictly between a and b lexicographically,
+    in Python's tuple order (prefixes first).
 
     Both inputs must end in 1 and satisfy a < b.  When a is a prefix of
     b, padding a with zeros up to b's length and closing with 1 lands
@@ -94,7 +93,7 @@ def lex_between(a: Word, b: Word) -> Word:
     for w in (a, b):
         if not w or w[-1] != 1:
             raise DomainMismatchError(f"lex_between arguments must end in 1, got {w!r}")
-    if _BIT_LEX._compare(a, b) is not LT:
+    if not a < b:
         raise ArgumentOrderError(f"{a!r} does not precede {b!r} lexicographically")
     if is_prefix(a, b):
         return a + (0,) * (len(b) - len(a)) + (1,)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -19,7 +20,7 @@ from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
 from .errors import ArgumentError, DomainMismatchError, ParseError
 from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
-from .trees import FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
+from .trees import MAX_BLOCK, FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,9 @@ class TreeGenSpec:
 
     Offspring counts follow a geometric law with the given mean,
     truncated at ``max_children``; growth stops at the depth cap and the
-    node cap (breadth-first, so caps cut the deepest layer first).
+    node cap (breadth-first, so caps cut the deepest layer first).  A
+    depth cap above ``trees.MAX_BLOCK`` is refused: a deeper node sits in
+    a block the enumeration never ranks, so it changes no image.
     """
 
     seed: int
@@ -104,6 +107,8 @@ class TreeGenSpec:
     def __post_init__(self):
         if self.depth_cap < 0 or self.node_cap < 1:
             raise ArgumentError("caps must be positive")
+        if self.depth_cap > MAX_BLOCK:
+            raise ArgumentError(f"depth cap {self.depth_cap} is above {MAX_BLOCK}, the last block the enumeration ranks")
         if not 0 < self.mean_children:
             raise ArgumentError("mean_children must be positive")
 
@@ -113,9 +118,9 @@ def generate_tree(spec: TreeGenSpec) -> FiniteTree:
     rng = random.Random(spec.seed)
     p = spec.mean_children / (1.0 + spec.mean_children)
     nodes = {()}
-    queue: list[tuple[int, ...]] = [()]
+    queue: deque[tuple[int, ...]] = deque([()])
     while queue:
-        w = queue.pop(0)
+        w = queue.popleft()
         if len(w) >= spec.depth_cap:
             continue
         k = 0

@@ -47,6 +47,21 @@ def brute_chain_length(seq, order):
     return max(ending)
 
 
+def brute_axiom_violations(order, support):
+    """Every transitivity violation (a, b, c) of a finite support, by a
+    triple loop in support order: a is related to b and b to c, but a is
+    not related to c."""
+    items = list(support)
+    return [
+        (a, b, c)
+        for a in items
+        for b in items
+        if order.related(a, b)
+        for c in items
+        if order.related(b, c) and not order.related(a, c)
+    ]
+
+
 def brute_splitting_depth(elems):
     """Literal between-element recursion, memoised on sorted positions."""
     vals = sorted(Fraction(v) for v in elems)

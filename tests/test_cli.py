@@ -402,6 +402,8 @@ def test_decide_up_literal_input(capsys):
         ("reduce", "--horizon", "0"),
         ("fuzz", "--node-cap", "0"),
         ("fuzz", "--mean-children", "0"),
+        ("fuzz", "--depth-cap", "4097"),
+        ("cantor", "--depth", "1", "--resolution", "-3"),
     ],
 )
 def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):
@@ -497,6 +499,7 @@ def tiny_files(tmp_path_factory):
         "dup": b"1/3 1/2 1/3\n",
         "words": b"e 0 0.1 1.2\n",
         "tree": b"e\n1\n1.1\n",
+        "stages": b"0 1/9\n2/9 1/3\n2/3 7/9\n8/9 1\n",
         "bad": b"1 x\n",
         "utf16": b"\xff\xfe",
     }
@@ -509,27 +512,61 @@ def _any_file(draw, files):
     return files[draw(st.sampled_from(sorted(files)))]
 
 
+def _optional(draw, flag, values):
+    """Either nothing or ``flag`` with one of ``values``."""
+    return draw(st.one_of(st.just([]), values.map(lambda v: [flag, str(v)])))
+
+
 @st.composite
 def _argv(draw, files):
     """One command line from a small grammar over the tiny files, bad ones included."""
-    kind = draw(st.sampled_from(["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "reduce", "usage"]))
-    order = ["--order", draw(st.sampled_from(["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Bogus"]))]
+    kind = draw(st.sampled_from(
+        ["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "fuzz", "reduce", "usage"]
+    ))
+    orders = ["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Delta", "Bogus"]
+    order = ["--order", draw(st.sampled_from(orders))]
     reading = draw(st.sampled_from([[], ["--strict"], ["--non-strict"]]))
-    if kind in ("analyze", "check-axioms"):
-        return [kind, _any_file(draw, files)] + order + reading
+    order += reading + _optional(draw, "--tag", st.sampled_from(["int", "nat", "word", "rational"]))
+    if kind == "analyze":
+        return [kind, _any_file(draw, files)] + order
+    if kind == "check-axioms":
+        axioms = st.sampled_from(["transitivity", "totality,reflexivity", "antisymmetry", "density"])
+        return [kind, _any_file(draw, files)] + order + _optional(draw, "--axioms", axioms)
     if kind == "classify":
         return [kind, _any_file(draw, files)]
     if kind == "cantor":
-        extract = draw(st.sampled_from([[], ["--extract", "P", "--stream", files["rats"]], ["--extract", "Y"]]))
-        return [kind, "--depth", str(draw(st.integers(0, 3)))] + extract
+        stages = _optional(draw, "--set", st.sampled_from([files["stages"], files["rats"], files["missing"]]))
+        extract = draw(st.sampled_from([
+            [], ["--extract", "P", "--stream", files["rats"]], ["--extract", "Y", "--stream", files["dup"]], ["--extract", "Y"]
+        ]))
+        return (
+            [kind, "--depth", str(draw(st.integers(0, 3)))]
+            + stages
+            + _optional(draw, "--resolution", st.integers(-3, 3))
+            + extract
+            + _optional(draw, "--count", st.integers(-1, 6))
+        )
     if kind == "encode":
         tokens = draw(st.lists(st.sampled_from(["e", "0", "1.2", "3", "x", "²"]), min_size=1, max_size=3))
         return [kind, "--map", draw(st.sampled_from(["binary", "rational", "double"]))] + tokens
     if kind == "decide-up":
-        return [kind, draw(st.sampled_from(["2 | 2 4 8", "1 | 3 2", "|", "x | 1"]))] + order + reading
+        return [kind, draw(st.sampled_from(["2 | 2 4 8", "1 | 3 2", "|", "x | 1"]))] + order
+    if kind == "fuzz":
+        return [
+            kind,
+            "--pipeline", draw(st.sampled_from(["subset", "rational", "binary", "rl"])),
+            "--trials", str(draw(st.integers(0, 2))),
+            "--seed", str(draw(st.integers(0, 3))),
+            "--horizon", str(draw(st.integers(0, 8))),
+            "--node-cap", str(draw(st.integers(0, 6))),
+            "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]))),
+            "--mean-children", draw(st.sampled_from(["0", "1.2", "4"])),
+            "--max-children", str(draw(st.integers(0, 3))),
+        ]
     if kind == "reduce":
         target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
-        return [kind, _any_file(draw, files), "--horizon", str(draw(st.integers(0, 6))), "--target", target]
+        mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
+        return [kind, _any_file(draw, files), "--horizon", str(draw(st.integers(0, 6))), "--target", target] + mode
     return draw(st.sampled_from([[], ["analyze"], ["nosuch"], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]))
 
 

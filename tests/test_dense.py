@@ -20,6 +20,7 @@ from helpers import (
 )
 from orderchains.dense import (
     MAX_DEPTH,
+    CountableSetStream,
     FixedStages,
     MiddleThirds,
     between_witness,
@@ -33,7 +34,6 @@ from orderchains.dense import (
     prune_successor_endpoints,
     reduction_image_stream,
     splitting_depth,
-    stream_from_values,
 )
 from orderchains.encodings import word_to_dyadic
 from orderchains.errors import (
@@ -229,19 +229,19 @@ def test_reduction_image_stream_values():
 
 
 def test_stream_rejects_out_of_range():
-    stream = stream_from_values([F(2)])
+    stream = CountableSetStream([F(2)])
     with pytest.raises(StreamError):
         stream.value(0)
 
 
 def test_stream_rejects_repeats():
-    stream = stream_from_values([F(1, 2), F(1, 2)])
+    stream = CountableSetStream([F(1, 2), F(1, 2)])
     with pytest.raises(StreamError):
         stream.prefix(2)
 
 
 def test_stream_exhaustion():
-    stream = stream_from_values([F(1, 2)])
+    stream = CountableSetStream([F(1, 2)])
     with pytest.raises(StreamError):
         stream.value(1)
 
@@ -249,11 +249,11 @@ def test_stream_exhaustion():
 def test_stream_draws_from_an_iterable_on_demand():
     "an endless generator is drawn only as far as asked, and a non-rational is a StreamError"
     drawn = []
-    stream = stream_from_values((drawn.append(n) or F(1, n) for n in itertools.count(1)), name="xs")
+    stream = CountableSetStream((drawn.append(n) or F(1, n) for n in itertools.count(1)), name="xs")
     assert stream.value(4) == F(1, 5)
     assert drawn == [1, 2, 3, 4, 5]
     with pytest.raises(StreamError, match=r"^xs\[1\] is not a rational$"):
-        stream_from_values([F(1, 2), "x"], name="xs").prefix(2)
+        CountableSetStream([F(1, 2), "x"], name="xs").prefix(2)
 
 
 def test_prune_keeps_top_and_drops_linked_endpoints():
@@ -267,7 +267,7 @@ def test_prune_keeps_top_and_drops_linked_endpoints():
 def test_prune_without_successor_evidence_keeps_everything():
     "when no successor left-endpoint is present nothing is pruned"
     scheme = build_scheme(MiddleThirds(), 2)
-    stream = stream_from_values([F(0), F(1)])
+    stream = CountableSetStream([F(0), F(1)])
     assert prune_successor_endpoints(stream, scheme, 2) == (F(0), F(1))
 
 
@@ -281,14 +281,14 @@ def test_gap_selector_one_per_gap():
 def test_gap_selector_prefers_earliest():
     "a later value in an already-served gap is ignored"
     scheme = build_scheme(MiddleThirds(), 1)
-    stream = stream_from_values([F(1, 2), F(5, 12), F(3, 8)])
+    stream = CountableSetStream([F(1, 2), F(5, 12), F(3, 8)])
     assert gap_selector(stream, scheme, 3) == (F(1, 2),)
 
 
 def test_gap_selector_ignores_endpoints():
     "gap endpoints are not strictly inside the gap"
     scheme = build_scheme(MiddleThirds(), 1)
-    stream = stream_from_values([F(1, 3), F(2, 3)])
+    stream = CountableSetStream([F(1, 3), F(2, 3)])
     assert gap_selector(stream, scheme, 2) == ()
 
 
@@ -402,7 +402,7 @@ def test_dense_embed_budget_exhaustion():
     "a stream thinning out above 1/2 cannot host a second element"
     order = make_order("IntLess")
     elems = [make_element(Tag.INT, v) for v in (0, 1)]
-    sparse = stream_from_values([F(1, n + 2) for n in range(100)])
+    sparse = CountableSetStream([F(1, n + 2) for n in range(100)])
     with pytest.raises(SearchBudgetError):
         dense_embed(elems, order, sparse, budget=50)
 
@@ -474,9 +474,9 @@ def test_extractors_match_plain_fractions(intervals, depth, values):
     closed, gaps = ref_build_scheme(intervals, depth)
     scheme = build_scheme(FixedStages(intervals), depth, resolution=0)
     n = len(values)
-    pruned = prune_successor_endpoints(stream_from_values(values), scheme, n)
+    pruned = prune_successor_endpoints(CountableSetStream(values), scheme, n)
     assert pruned == ref_prune_successor_endpoints(values, closed)
-    assert gap_selector(stream_from_values(values), scheme, n) == ref_gap_selector(values, gaps)
+    assert gap_selector(CountableSetStream(values), scheme, n) == ref_gap_selector(values, gaps)
 
 
 @given(st.lists(st.one_of(colliding_rationals, st.fractions()), max_size=20))
@@ -503,7 +503,7 @@ def test_rational_key_at_float_overflow_and_underflow():
     ],
 )
 def test_stream_error_messages(values, message):
-    stream = stream_from_values(values, name="xs")
+    stream = CountableSetStream(values, name="xs")
     with pytest.raises(StreamError) as err:
         stream.prefix(len(values))
     assert str(err.value) == message
@@ -533,6 +533,8 @@ def test_build_scheme_caps_depth_before_any_stage():
     for depth in (MAX_DEPTH + 1, 40, 10**9):
         with pytest.raises(SchemeError, match=f"depth {depth} is above the cap of {MAX_DEPTH}"):
             build_scheme(oracle, depth)
+    with pytest.raises(SchemeError, match="resolution must be non-negative"):
+        build_scheme(oracle, 1, resolution=-3)
     assert oracle.calls == []
     with pytest.raises(SchemeError):
         build_scheme(MiddleThirds(), 40)
@@ -542,4 +544,6 @@ def test_middle_thirds_caps_stage_size():
     "a stage past the finest a scheme can use is refused, not built"
     with pytest.raises(SchemeError, match="stage 40 has 2\\^40 components"):
         MiddleThirds().stage(40)
+    with pytest.raises(SchemeError, match="stage -1 is negative"):
+        MiddleThirds().stage(-1)
     assert len(MiddleThirds().stage(3)) == 8

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from helpers import colliding_rationals
+from helpers import brute_axiom_violations, colliding_rationals
 from orderchains.chains import Sequence
 from orderchains.errors import ArgumentError, DomainMismatchError, ParseError
 from orderchains.orders import (
@@ -19,6 +19,7 @@ from orderchains.orders import (
     MAX_AXIOM_SUPPORT,
     ORDER_NAMES,
     Element,
+    Order,
     Tag,
     check_axioms,
     format_element,
@@ -371,6 +372,28 @@ def test_axioms_hold_on_small_supports(name, tag, payloads, strict):
     order = make_order(name, strict=strict)
     report = check_axioms(order, elems(tag, payloads))
     assert report.ok, report.describe()
+
+
+class _HashedOrder(Order):
+    """A non-transitive oracle: each ordered pair's verdict is a fixed hash of it."""
+
+    name = "Hashed"
+    domain = Tag.INT
+
+    def _compare(self, x, y):
+        return (LT, EQ, GT, INCOMPARABLE)[(x * 7919 + y * 104729) % 9973 % 4]
+
+
+@pytest.mark.parametrize("payloads", [range(40), [(7 * i) % 41 - 20 for i in range(41)]])
+@pytest.mark.parametrize("strict", [True, False])
+def test_transitivity_violations_match_a_triple_loop(payloads, strict):
+    "the bit-row scan reports every violation, in the triple loop's order"
+    order = _HashedOrder(strict=strict)
+    support = elems(Tag.INT, payloads)
+    want = brute_axiom_violations(order, support)
+    assert want
+    report = check_axioms(order, support, axioms=("transitivity",))
+    assert [v.witness for v in report.violations] == want
 
 
 def test_totality_probe_finds_incomparable_pair():

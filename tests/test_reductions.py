@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orderchains.chains import Sequence, longest_chain
-from orderchains.errors import DomainMismatchError, ParseError
+from orderchains.errors import ArgumentError, DomainMismatchError, ParseError
 from orderchains.orders import Element, Order, Tag, make_order
 from orderchains import reductions
 from orderchains.reductions import (
@@ -24,7 +24,7 @@ from orderchains.reductions import (
     make_pipeline,
     reduce_tree,
 )
-from orderchains.trees import FiniteTree, filler, index_of, validate_tree, word_at
+from orderchains.trees import MAX_BLOCK, FiniteTree, filler, index_of, validate_tree, word_at
 
 subset_nat = make_order("SubsetWordNat")
 
@@ -163,6 +163,13 @@ def test_generate_tree_respects_caps():
     tree = generate_tree(spec)
     assert len(tree) <= 60
     assert all(len(w) <= 4 for w in tree.nodes)
+
+
+def test_tree_spec_refuses_depth_past_the_last_block():
+    "nodes deeper than the last ranked block never reach an image, so such caps are refused before growth"
+    assert TreeGenSpec(seed=0, depth_cap=MAX_BLOCK).depth_cap == MAX_BLOCK
+    with pytest.raises(ArgumentError, match=f"^depth cap {MAX_BLOCK + 1} is above {MAX_BLOCK}, "):
+        TreeGenSpec(seed=0, depth_cap=MAX_BLOCK + 1)
 
 
 @given(st.integers(0, 10_000))
