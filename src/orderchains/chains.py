@@ -50,6 +50,7 @@ from .errors import (
     LinearityError,
     ParseError,
     WitnessIndexError,
+    echo,
 )
 from .orders import (
     Element,
@@ -66,7 +67,8 @@ class Sequence:
     """A finite sequence of payloads sharing one domain tag.
 
     ``Sequence(tag, elements)`` takes ``Element`` objects and raises
-    ``DomainMismatchError`` on one of another tag; ``from_payloads``
+    ``DomainMismatchError`` on one of another tag or on anything that is
+    not an ``Element``; ``from_payloads``
     takes raw payloads.  Two sequences are equal exactly when their tags
     and payloads are.
     """
@@ -76,6 +78,8 @@ class Sequence:
     def __init__(self, tag: Tag, items):
         items = tuple(items)
         for el in items:
+            if not isinstance(el, Element):
+                raise DomainMismatchError(f"sequence tagged {tag.value} takes elements, got {echo(el, repr)}")
             if el.tag is not tag:
                 raise DomainMismatchError(
                     f"sequence tagged {tag.value} contains a {el.tag.value} element"
@@ -174,7 +178,7 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     if n == 0:
         raise EmptySequenceError("longest_chain needs a non-empty sequence")
     if method not in ("auto", "generic"):
-        raise ParseError(f"unknown longest_chain method {method!r}")
+        raise ParseError(f"unknown longest_chain method {echo(method, repr)}")
     # A Sequence holds one tag, so one check covers every term.
     tag = y.tag
     order.check_tag(tag)
@@ -188,8 +192,10 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
         def rel(i, j):
             return related(payloads[i], payloads[j])
 
-        ids, distinct = _value_ids(payloads)
-        links = order.lower_links(distinct) if method == "auto" else None
+        links = None
+        if method == "auto":
+            ids, distinct = _value_ids(payloads)
+            links = order.lower_links(distinct)
         if links is None:
             starts = _suffix_lengths_generic(payloads, related)
         else:
@@ -330,7 +336,7 @@ def verify_witness(indices, y: Sequence, order: Order) -> bool:
     n = len(y)
     for i in idx:
         if not 0 <= i < n:
-            raise WitnessIndexError(f"witness index {i} outside sequence of length {n}")
+            raise WitnessIndexError(f"witness index {echo(i)} outside sequence of length {n}")
     links = list(zip(idx, idx[1:]))
     if not all(a < b for a, b in links):
         return False

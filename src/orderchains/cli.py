@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
-from .errors import DuplicateElementError, OrderChainsError, ParseError
+from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError
 from .orders import Tag
 from .words import format_bit_word, parse_nat_word, quote_token
 
@@ -172,6 +172,8 @@ def cmd_classify(args) -> int:
 def cmd_cantor(args) -> int:
     if args.extract and not args.stream:
         raise ParseError("--extract needs --stream FILE")
+    if args.count is not None and args.count < 0:
+        raise ArgumentError(f"--count must be non-negative, got {args.count}")
     if args.set == "cantor3":
         oracle = dense.MiddleThirds()
     else:

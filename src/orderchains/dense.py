@@ -22,6 +22,10 @@ unique since ``Fraction``s are normalised and which hashes in C.  Order
 tie.  The middle-thirds stages and streams share one geometry, integer
 numerators over 3^k, made into ``Fraction``s only when asked for.  The
 stage oracles keep no state; a stream keeps only the prefix it has drawn.
+
+A rational a caller hands in is read by the rational rule of
+``orders.make_element``; this module builds ``Fraction``s only from ints
+it computes itself.
 """
 
 from __future__ import annotations
@@ -35,13 +39,16 @@ from typing import Iterable
 
 from .encodings import word_to_dyadic
 from .errors import (
+    ArgumentError,
+    DomainMismatchError,
     DuplicateElementError,
     LinearityError,
     SchemeError,
     SearchBudgetError,
     StreamError,
+    echo,
 )
-from .orders import Element, Order, rational_key
+from .orders import Element, Order, Tag, make_element, rational_key, validate_payloads
 from .trees import iter_words
 from .words import Word, format_bit_word
 
@@ -85,9 +92,9 @@ class MiddleThirds:
 
     def stage(self, k: int) -> tuple[Interval, ...]:
         if k < 0:
-            raise SchemeError(f"middle-thirds stage {k} is negative")
+            raise SchemeError(f"middle-thirds stage {echo(k)} is negative")
         if k > MAX_DEPTH + 1:
-            raise SchemeError(f"middle-thirds stage {k} has 2^{k} components, above the cap of 2^{MAX_DEPTH + 1}")
+            raise SchemeError(f"middle-thirds stage {echo(k)} has 2^{echo(k)} components, above the cap of 2^{MAX_DEPTH + 1}")
         lefts = next(islice(_middle_thirds_lefts(), k, None))
         den = 3**k
         return tuple((Fraction(a, den), Fraction(a + 1, den)) for a in lefts)
@@ -98,15 +105,17 @@ class MiddleThirds:
 
 
 class FixedStages:
-    """Stage oracle built from one explicit interval list (constant stages)."""
+    """Stage oracle built from one explicit interval list (constant
+    stages), whose ends are read as ``orders.validate_payloads`` reads
+    rationals."""
 
     name = "fixed"
 
     def __init__(self, intervals: Iterable[Interval]):
-        ivs = sorted((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
+        ivs = sorted(validate_payloads(Tag.RATIONAL, (lo, hi)) for lo, hi in intervals)
         for lo, hi in ivs:
             if lo > hi:
-                raise SchemeError(f"interval ({lo}, {hi}) is reversed")
+                raise SchemeError(f"interval ({echo(lo)}, {echo(hi)}) is reversed")
         for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
             if hi >= lo:
                 raise SchemeError("stage intervals must be disjoint and sorted")
@@ -167,7 +176,7 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
     if depth < 0:
         raise SchemeError("depth must be non-negative")
     if depth > MAX_DEPTH:
-        raise SchemeError(f"depth {depth} is above the cap of {MAX_DEPTH}: it needs a stage of 2^{depth + 1} components")
+        raise SchemeError(f"depth {echo(depth)} is above the cap of {MAX_DEPTH}: it needs a stage of 2^{echo(depth + 1)} components")
     if resolution is None:
         k = 0
         while oracle.components(k) < 2 ** (depth + 1):
@@ -217,7 +226,9 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
 
 class CountableSetStream:
     """Injective enumeration of rationals in [0, 1], drawn in order from
-    an iterable as indices are asked for."""
+    an iterable as indices are asked for.  A value that is not a
+    ``Fraction`` is read by ``orders.make_element``; one it refuses, one
+    outside [0, 1] and a repeat raise ``StreamError``."""
 
     def __init__(self, values: Iterable, name: str = "stream"):
         self._values = iter(values)
@@ -234,19 +245,21 @@ class CountableSetStream:
                 raise StreamError(f"{self.name} has no element {j}") from None
             if type(v) is not Fraction:
                 try:
-                    v = Fraction(v)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    v = make_element(Tag.RATIONAL, v).value
+                except DomainMismatchError as exc:
                     raise StreamError(f"{self.name}[{j}] is not a rational") from exc
             num, den = v.numerator, v.denominator
             if num < 0 or num > den:
-                raise StreamError(f"{self.name}[{j}] = {v} outside [0, 1]")
+                raise StreamError(f"{self.name}[{j}] = {echo(v)} outside [0, 1]")
             first = self._seen.setdefault((num, den), j)
             if first != j:
-                raise StreamError(f"{self.name} repeats {v} at {first} and {j}")
+                raise StreamError(f"{self.name} repeats {echo(v)} at {first} and {j}")
             self._cache.append(v)
         return self._cache[i]
 
     def prefix(self, n: int) -> list[Fraction]:
+        if n < 0:
+            raise ArgumentError(f"stream prefix length {echo(n)} is negative")
         return [self.value(i) for i in range(n)]
 
 
@@ -301,12 +314,12 @@ def prune_successor_endpoints(
 def gap_selector(
     stream: CountableSetStream, scheme: IntervalScheme, n: int
 ) -> tuple[Fraction, ...]:
-    """Earliest-enumerated stream element strictly inside each gap."""
+    """Earliest-enumerated stream element strictly inside each gap,
+    among the first n."""
     chosen: dict[Word, tuple] = {}  # gap -> key of its value
     ordered = sorted((rational_key(a), rational_key(b), sigma) for sigma, (a, b) in scheme.gaps.items())
     lo_keys = [a for a, _, _ in ordered]
-    for i in range(n):
-        x = rational_key(stream.value(i))
+    for x in map(rational_key, stream.prefix(n)):
         pos = bisect.bisect_right(lo_keys, x) - 1
         if pos < 0:
             continue
@@ -324,10 +337,12 @@ def persistently_approaches(values, g: Fraction, anchors) -> bool:
     last position there must be a hit beyond N; windows that start at or
     after the last position are outside the horizon and are not checked.
     Both ask only that the sequence is non-empty and its last value is
-    a hit.
+    a hit.  The values (or ``Element`` payloads), g and the anchors are
+    read as ``orders.validate_payloads`` reads rationals.
     """
-    vals = [v.value if isinstance(v, Element) else Fraction(v) for v in values]
-    anchors = [Fraction(a) for a in anchors]
+    vals = validate_payloads(Tag.RATIONAL, (v.value if isinstance(v, Element) else v for v in values))
+    g = make_element(Tag.RATIONAL, g).value
+    anchors = validate_payloads(Tag.RATIONAL, anchors)
     return all(vals and a < vals[-1] <= g for a in anchors if a < g)
 
 
@@ -340,15 +355,16 @@ def splitting_depth(elems) -> int:
     splits a run as evenly as possible, so the depth of a distance-d
     pair follows h(d) = 1 + h(d // 2) with h(1) = 0, that is
     h(d) = floor(log2 d).  The result is the maximum over all pairs,
-    i.e. h over the full span m - 1 of m values.  A repeat raises
+    i.e. h over the full span m - 1 of m values, read as
+    ``orders.validate_payloads`` reads rationals.  A repeat raises
     ``DuplicateElementError`` whose ``index`` is the first position
     holding a value seen before.
     """
-    vals = [v if type(v) is Fraction else Fraction(v) for v in elems]
+    vals = validate_payloads(Tag.RATIONAL, elems)
     seen = set()
     for i, key in enumerate(map(_identity, vals)):
         if key in seen:
-            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {vals[i]} twice", index=i)
+            raise DuplicateElementError(f"splitting_depth needs distinct elements, saw {echo(vals[i])} twice", index=i)
         seen.add(key)
     return distinct_splitting_depth(len(vals))
 
@@ -377,7 +393,7 @@ def dense_embed(
     for el in elems:
         order.check_tag(el.tag)
         if el in images:
-            raise DuplicateElementError(f"duplicate source element {el}")
+            raise DuplicateElementError(f"duplicate source element {echo(el)}")
         key = order.sort_key(el)
         pos = bisect.bisect_left(placed_keys, key)
         lo = placed_vals[pos - 1] if pos > 0 else None
@@ -391,7 +407,7 @@ def dense_embed(
                 break
         else:
             raise SearchBudgetError(
-                f"no admissible image for {el} within the first {budget} stream values"
+                f"no admissible image for {echo(el)} within the first {budget} stream values"
             )
     return images
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .errors import ArgumentOrderError, DomainMismatchError
+from .errors import ArgumentOrderError, DomainMismatchError, echo
 from .words import Word, is_prefix
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -40,9 +40,9 @@ def word_to_bits(word: Word) -> Word:
 
 
 # The most binary digits word_to_dyadic writes: 2^20, a 128 KiB
-# denominator.  A fuzz horizon h needs at most 2h + 1 digits (its longest
-# filler is at most h ones and a zero), so this admits every horizon up to
-# about 500 000, far beyond what reduce_tree can write out.
+# denominator.  A reduction image needs far fewer: its longest filler,
+# below trees.MAX_HORIZON ones and a zero, takes under 2 * MAX_HORIZON
+# digits.  The cap bounds the words a caller encodes directly.
 MAX_DYADIC_DIGITS = 1 << 20
 
 
@@ -74,10 +74,10 @@ def format_dyadic_binary(value: Fraction) -> str:
     denom = value.denominator
     k = denom.bit_length() - 1
     if 2**k != denom:
-        raise DomainMismatchError(f"{value} is not dyadic")
+        raise DomainMismatchError(f"{echo(value)} is not dyadic")
     if k == 0:
         return "0."
-    digits = format(value.numerator * (2**k // denom), f"0{k}b")
+    digits = format(value.numerator, f"0{k}b")
     return "0." + digits
 
 
@@ -92,9 +92,9 @@ def lex_between(a: Word, b: Word) -> Word:
     """
     for w in (a, b):
         if not w or w[-1] != 1:
-            raise DomainMismatchError(f"lex_between arguments must end in 1, got {w!r}")
+            raise DomainMismatchError(f"lex_between arguments must end in 1, got {echo(w, repr)}")
     if not a < b:
-        raise ArgumentOrderError(f"{a!r} does not precede {b!r} lexicographically")
+        raise ArgumentOrderError(f"{echo(a, repr)} does not precede {echo(b, repr)} lexicographically")
     if is_prefix(a, b):
         return a + (0,) * (len(b) - len(a)) + (1,)
     return a + (1,)

@@ -1,4 +1,19 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package, and ``echo``, which writes a
+caller's value into an error message."""
+
+
+def echo(value, form=str) -> str:
+    """``form(value)``, ``str`` or ``repr``, for an error message.
+
+    On this package's values the one ``ValueError`` either raises is the
+    interpreter's digit limit on int -> str (``format_element`` re-raises
+    it as ``ArgumentError``); a short stand-in then takes the value's
+    place, so the message never raises in place of the error it reports.
+    """
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
 
 
 class OrderChainsError(Exception):
@@ -48,7 +63,7 @@ class TreePrefixError(OrderChainsError):
     def __init__(self, node, missing):
         self.node = node
         self.missing = missing
-        super().__init__(f"node {node!r} present but prefix {missing!r} missing")
+        super().__init__(f"node {echo(node, repr)} present but prefix {echo(missing, repr)} missing")
 
 
 class SchemeError(OrderChainsError):

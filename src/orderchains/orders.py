@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 from math import inf, isqrt
 
-from .errors import ArgumentError, DomainMismatchError, ParseError
+from .errors import ArgumentError, DomainMismatchError, ParseError, echo
 from .words import (
     format_bit_word,
     format_nat_word,
@@ -86,18 +86,20 @@ class Element:
 
     def __post_init__(self):
         if not _valid_payloads(self.tag, (self.value,)):
-            raise DomainMismatchError(f"{_DOMAINS[self.tag][-1]}, got {self.value!r}")
+            raise DomainMismatchError(f"{_DOMAINS[self.tag][-1]}, got {echo(self.value, repr)}")
 
     def __str__(self):
         return format_element(self)
 
 
 def make_element(tag: Tag, payload) -> Element:
-    """Build an element, normalising convenient payload spellings; one
-    that does not normalise goes to ``Element`` as given, which rejects it."""
+    """Build an element, normalising convenient payload spellings: a
+    rational ``str`` by ``parse_rational``, as the CLI reads a token, any
+    other rational by ``Fraction``, a word from any iterable.  One that
+    does not normalise goes to ``Element`` as given, which rejects it."""
     try:
         if tag is Tag.RATIONAL and not isinstance(payload, Fraction):
-            payload = Fraction(payload)
+            payload = parse_rational(payload) if isinstance(payload, str) else Fraction(payload)
         if tag in (Tag.WORD_NAT, Tag.WORD_BIT) and not isinstance(payload, tuple):
             payload = tuple(payload)
     except (TypeError, ValueError, ArithmeticError):
@@ -162,7 +164,7 @@ def parse_payload(text: str, tag: Tag):
         # ``Fraction``'s own message repeats the whole token.
         reason = str(exc).replace(repr(text), quoted)
         raise ParseError(f"bad {tag.value} token {quoted}: {reason}") from exc
-    raise ParseError(f"unknown tag {tag!r}")
+    raise ParseError(f"unknown tag {echo(tag, repr)}")
 
 
 # The exponent of a decimal spelling such as 1.5e-3.

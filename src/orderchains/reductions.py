@@ -18,9 +18,9 @@ from typing import Callable
 
 from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
-from .errors import ArgumentError, DomainMismatchError, ParseError
+from .errors import ArgumentError, DomainMismatchError, ParseError, echo
 from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
-from .trees import MAX_BLOCK, FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
+from .trees import MAX_BLOCK, MAX_HORIZON, FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,13 @@ def lift_map(x: Sequence, pmap: PointwiseMap) -> Sequence:
 
 
 def reduce_tree(tree: FiniteTree, horizon: int) -> Sequence:
-    """First ``horizon`` terms of the reduction of the tree."""
+    """First ``horizon`` terms of the reduction of the tree; a horizon
+    above ``trees.MAX_HORIZON`` raises ``ArgumentError`` before any term
+    is built."""
     if horizon < 1:
         raise ArgumentError("horizon must be at least 1")
+    if horizon > MAX_HORIZON:
+        raise ArgumentError(f"horizon {echo(horizon)} is above the cap of {MAX_HORIZON}")
     nodes = tree.nodes
     # Enumerated words and fillers are nat-words by construction.
     return Sequence._trusted(
@@ -108,7 +112,7 @@ class TreeGenSpec:
         if self.depth_cap < 0 or self.node_cap < 1:
             raise ArgumentError("caps must be positive")
         if self.depth_cap > MAX_BLOCK:
-            raise ArgumentError(f"depth cap {self.depth_cap} is above {MAX_BLOCK}, the last block the enumeration ranks")
+            raise ArgumentError(f"depth cap {echo(self.depth_cap)} is above {MAX_BLOCK}, the last block the enumeration ranks")
         if not 0 < self.mean_children:
             raise ArgumentError("mean_children must be positive")
 
@@ -168,7 +172,7 @@ PIPELINE_NAMES = tuple(_PIPELINES)
 def make_pipeline(name: str) -> ReductionPipeline:
     build = _PIPELINES.get(name)
     if build is None:
-        raise ParseError(f"unknown pipeline {name!r}; choose one of {', '.join(PIPELINE_NAMES)}")
+        raise ParseError(f"unknown pipeline {echo(name, repr)}; choose one of {', '.join(PIPELINE_NAMES)}")
     return ReductionPipeline(name, *build())
 
 

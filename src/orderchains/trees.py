@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterable, Iterator
 
-from .errors import ArgumentError, ParseError, TreePrefixError
+from .errors import ArgumentError, ParseError, TreePrefixError, echo
+from .orders import Tag, validate_payloads
 from .words import Word, parse_nat_word
 
 
@@ -38,10 +39,6 @@ class FiniteTree:
             node = min(violators, key=len)
             raise TreePrefixError(node, node[:-1])
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.nodes
-
     def __contains__(self, word: Word) -> bool:
         return word in self.nodes
 
@@ -54,17 +51,17 @@ def prefix_closure(words: Iterable[Word]) -> frozenset[Word]:
 
 
 def validate_tree(words: Iterable[Word], mode: str = "strict") -> FiniteTree:
-    """Build a tree from raw words.
+    """Build a tree from raw words, read as ``orders.validate_payloads``
+    reads nat-words.
 
     ``strict`` requires the input to be prefix-closed already and raises
     on a shortest violating (node, missing prefix) pair; ``closure``
     completes the input with all missing prefixes.
     """
-    if mode == "closure":
-        return FiniteTree(prefix_closure(words))
-    if mode != "strict":
-        raise ParseError(f"unknown tree validation mode {mode!r}")
-    return FiniteTree(frozenset(words))
+    if mode not in ("strict", "closure"):
+        raise ParseError(f"unknown tree validation mode {echo(mode, repr)}")
+    words = validate_payloads(Tag.WORD_NAT, words)
+    return FiniteTree(prefix_closure(words) if mode == "closure" else frozenset(words))
 
 
 def parse_tree_lines(lines: Iterable[str], mode: str = "strict") -> FiniteTree:
@@ -82,10 +79,13 @@ def filler(n: int) -> Word:
 
     Fillers are pairwise incomparable under the prefix order and
     strictly decreasing under the reverse-entry lexicographic order, so
-    at most one of them can ever join a chain.
+    at most one of them can ever join a chain.  An index past every
+    horizon (at least ``MAX_HORIZON``) raises ``ArgumentError``.
     """
     if n < 0:
         raise ArgumentError("filler index must be non-negative")
+    if n >= MAX_HORIZON:
+        raise ArgumentError(f"filler index {echo(n)} is past the horizon cap of {MAX_HORIZON}")
     return (1,) * n + (0,)
 
 
@@ -95,6 +95,12 @@ def filler(n: int) -> Word:
 # unranks in about a second on a 2-core machine and its index has about
 # 49 000 bits, and each later block costs more.
 MAX_BLOCK = 4096
+
+# The longest reduction ``reduce_tree`` writes out, and so the first
+# filler index past it.  Its fillers hold about h**2 / 2 entries for
+# horizon h; at this cap `reduce` takes 1.8 s and peaks near 140 MB on a
+# 2-core machine, and `reduce --target binary` 3.7 s and 410 MB.
+MAX_HORIZON = 4096
 
 
 def block_of(word: Word) -> int:

@@ -404,6 +404,9 @@ def test_decide_up_literal_input(capsys):
         ("fuzz", "--mean-children", "0"),
         ("fuzz", "--depth-cap", "4097"),
         ("cantor", "--depth", "1", "--resolution", "-3"),
+        ("cantor", "--set", "cantor3", "--depth", "0", "--count", "-1"),
+        ("reduce", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
+        ("fuzz", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
     ],
 )
 def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):
@@ -557,7 +560,7 @@ def _argv(draw, files):
             "--pipeline", draw(st.sampled_from(["subset", "rational", "binary", "rl"])),
             "--trials", str(draw(st.integers(0, 2))),
             "--seed", str(draw(st.integers(0, 3))),
-            "--horizon", str(draw(st.integers(0, 8))),
+            "--horizon", str(draw(st.integers(0, 8) | st.just(orderchains.trees.MAX_HORIZON + 1))),
             "--node-cap", str(draw(st.integers(0, 6))),
             "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]))),
             "--mean-children", draw(st.sampled_from(["0", "1.2", "4"])),
@@ -566,7 +569,8 @@ def _argv(draw, files):
     if kind == "reduce":
         target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
         mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
-        return [kind, _any_file(draw, files), "--horizon", str(draw(st.integers(0, 6))), "--target", target] + mode
+        horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1))
+        return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode
     return draw(st.sampled_from([[], ["analyze"], ["nosuch"], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]))
 
 
