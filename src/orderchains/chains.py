@@ -18,9 +18,11 @@ right, the longest chain ``starts[i]`` starting at each position, then
 rebuilds the lexicographically least witness.  The oracle alone picks
 the index that finds the best later start:
 
-* ``ranked``: linear oracles.  One sort of the positions by sort key
-  gives each a dense rank, then one right-to-left patience pass with
-  binary search over the ranks gives every start, O(n log n) in all.
+* ``ranked``: linear oracles.  One sort of the positions by the
+  oracle's ``sort_keys`` (which may be ints or bytes that order as the
+  payloads do) gives each a dense rank, then one right-to-left patience
+  pass with binary search over the ranks gives every start, O(n log n)
+  in all.
 * ``linked``: oracles whose ``lower_links`` lists the values below each
   value (the prefix orders, Divides, Delta).  Each new start is pushed
   down the links into the best start above every lower value, O(n +
@@ -42,7 +44,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import (
     DomainMismatchError,
@@ -223,16 +225,11 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 def _value_ids(payloads):
     """Map each position to a dense id over the distinct payloads, and
     list those payloads in order of first occurrence."""
+    # One hash per value: a tuple does not cache its hash, and bit-word
+    # images run to hundreds of entries.
     seen: dict[object, int] = {}
-    ids = []
-    distinct = []
-    for value in payloads:
-        vid = seen.get(value)
-        if vid is None:
-            vid = seen[value] = len(distinct)
-            distinct.append(value)
-        ids.append(vid)
-    return ids, distinct
+    ids = [seen.setdefault(value, len(seen)) for value in payloads]
+    return ids, list(seen)
 
 
 def _suffix_lengths_generic(payloads, related):
@@ -329,12 +326,16 @@ def patience_chain_length(y: Sequence, order: Order) -> int:
 def verify_witness(indices, y: Sequence, order: Order) -> bool:
     """Check a claimed chain witness against the sequence.
 
-    Out-of-range positions raise; a non-increasing index vector or a
-    broken link simply yields False.
+    Positions that are not integers or are out of range raise; a
+    non-increasing index vector or a broken link simply yields False.
     """
     idx = list(indices)
     n = len(y)
     for i in idx:
+        try:
+            i = index(i)
+        except TypeError:
+            raise WitnessIndexError(f"witness index {echo(i, repr)} is not an integer") from None
         if not 0 <= i < n:
             raise WitnessIndexError(f"witness index {echo(i)} outside sequence of length {n}")
     links = list(zip(idx, idx[1:]))

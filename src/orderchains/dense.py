@@ -340,10 +340,18 @@ def persistently_approaches(values, g: Fraction, anchors) -> bool:
     a hit.  The values (or ``Element`` payloads), g and the anchors are
     read as ``orders.validate_payloads`` reads rationals.
     """
-    vals = validate_payloads(Tag.RATIONAL, (v.value if isinstance(v, Element) else v for v in values))
+    vals = validate_payloads(Tag.RATIONAL, _unwrapped(values))
     g = make_element(Tag.RATIONAL, g).value
     anchors = validate_payloads(Tag.RATIONAL, anchors)
     return all(vals and a < vals[-1] <= g for a in anchors if a < g)
+
+
+def _unwrapped(values):
+    """The values with each ``Element`` read as its payload.  A generator
+    function, so a container that is not iterable fails only when
+    ``validate_payloads`` reads it."""
+    for v in values:
+        yield v.value if isinstance(v, Element) else v
 
 
 def splitting_depth(elems) -> int:

@@ -9,7 +9,6 @@ preserved and reflected.  All rational arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ArgumentOrderError, DomainMismatchError, echo
 from .words import Word, is_prefix
@@ -31,12 +30,9 @@ def word_to_bits(word: Word) -> Word:
     The marker can never occur inside a doubled-bit block, so decoding
     is unambiguous and prefixes map exactly to prefixes.
     """
-    codes = {e: double_bits(e) + (0, 1) for e in set(word)}
-    # Through a list, the tuple is allocated once at its final size.  A
-    # long tuple grown straight from an iterator is reallocated step by
-    # step, and over a long loop of reductions that fragmented the heap:
-    # peak RSS kept rising.
-    return tuple(list(chain.from_iterable(map(codes.__getitem__, word))))
+    codes = {e: bytes(double_bits(e)) + b"\x00\x01" for e in set(word)}
+    # A tuple built from bytes is allocated once at its final size.
+    return tuple(b"".join(map(codes.__getitem__, word)))
 
 
 # The most binary digits word_to_dyadic writes: 2^20, a 128 KiB

@@ -6,7 +6,9 @@ the verdict onto the strict or reflexive reading the oracle was built
 with; ``_compare`` and ``_related`` do the same on unchecked payloads.
 A linear oracle states its order once, as one key per payload that
 embeds it into Python's native comparisons: ``compare`` and ``sort_key``
-both derive from that key, and the chain algorithms rank by it.
+both derive from that key.  The chain algorithms rank by ``sort_keys``,
+which may trade that key for one that orders the same and compares in
+C: exact ints for dyadic rationals, bytes for reverse-lex words.
 """
 
 from __future__ import annotations
@@ -113,9 +115,13 @@ def validate_payloads(tag: Tag, payloads) -> tuple:
     Payloads valid as they are (ints, ``Fraction``s, tuples of ints) are
     checked in bulk.  Anything else takes the per-term path, which
     normalises the spellings ``make_element`` accepts and raises its
-    error on the first bad payload.
+    error on the first bad payload.  A container that cannot be read
+    raises ``DomainMismatchError`` too.
     """
-    values = tuple(payloads)
+    try:
+        values = tuple(payloads)
+    except TypeError as exc:
+        raise DomainMismatchError(f"cannot read {tag} payloads: {exc}") from exc
     if _valid_payloads(tag, values):
         return values
     return tuple(make_element(tag, p).value for p in values)
@@ -308,7 +314,8 @@ class LinearOrder(Order):
         return el.value if self._key is None else self._key(el.value)
 
     def sort_keys(self, payloads):
-        """``sort_key`` of every payload, by one pass of the key function."""
+        """Keys that order and tie the payloads exactly as ``sort_key``
+        does, by one pass; by default ``sort_key`` itself."""
         return payloads if self._key is None else list(map(self._key, payloads))
 
 
@@ -387,12 +394,30 @@ def rational_key(q: Fraction) -> tuple[float, Fraction]:
     return (f, q)
 
 
+# The most bits RatLessOrder.sort_keys adds to its int keys, summed over
+# the payloads (4 MiB).  The longest reduction image, 4 096 dyadics with
+# denominators up to 2^8191, just fits.
+_INT_KEY_BITS = 1 << 25
+
+
 class RatLessOrder(LinearOrder):
     """The usual order on the rationals."""
 
     name = "RatLess"
     domain = Tag.RATIONAL
     _key = staticmethod(rational_key)
+
+    def sort_keys(self, payloads):
+        """Exact int keys when every denominator is a power of two: each
+        value times the largest denominator, so that ints compare in C
+        where the floats of ``rational_key`` would tie.  ``rational_key``
+        otherwise, and when the shifts would add more than
+        ``_INT_KEY_BITS`` bits in all."""
+        dens = [q.denominator for q in payloads]
+        top = max(map(int.bit_length, dens), default=0)
+        if len(dens) * top <= _INT_KEY_BITS and not any(d & (d - 1) for d in dens):
+            return [q.numerator << (top - d.bit_length()) for q, d in zip(payloads, dens)]
+        return list(map(rational_key, payloads))
 
 
 class PrefixOrder(Order):
@@ -422,17 +447,26 @@ class PrefixOrder(Order):
         Tuple order puts a word just before the contiguous run of its
         extensions, so one sweep in that order with a stack of the open
         prefixes finds each value's nearest prefix on top of the stack.
+        Words with entries up to 255 sort and test as ``bytes``, which
+        order as the tuples do and compare in C.
         """
-        links: list[tuple[int, ...]] = [()] * len(values)
+        try:
+            keys = [bytes(v) for v in values]
+        except ValueError:
+            keys = values
+        links: list[tuple[int, ...]] = [()] * len(keys)
         open_prefixes: list[int] = []
-        for k in sorted(range(len(values)), key=values.__getitem__):
-            word = values[k]
-            while open_prefixes and not is_prefix(values[open_prefixes[-1]], word):
+        for k in sorted(range(len(keys)), key=keys.__getitem__):
+            word = keys[k]
+            while open_prefixes and not is_prefix(keys[open_prefixes[-1]], word):
                 open_prefixes.pop()
             if open_prefixes:
                 links[k] = (open_prefixes[-1],)
             open_prefixes.append(k)
         return links
+
+
+_NEGATE_BYTE = bytes(range(255, -1, -1))
 
 
 class ReverseLexOrder(LinearOrder):
@@ -445,9 +479,19 @@ class ReverseLexOrder(LinearOrder):
     @staticmethod
     def _key(payload):
         # Negating entries turns the reversed entry order into Python's
-        # tuple order while keeping prefixes smaller.  The list sizes the
-        # tuple once (see encodings.word_to_bits).
+        # tuple order while keeping prefixes smaller.  Through a list, the
+        # tuple is allocated once at its final size: a long tuple grown
+        # from an iterator is reallocated step by step.
         return tuple(list(map(operator.neg, payload)))
+
+    def sort_keys(self, payloads):
+        """Each word as bytes with every entry e turned into 255 - e,
+        which order as the negated tuples do, prefixes included.  Any
+        entry above 255 sends the whole call to ``_key``."""
+        try:
+            return [bytes(p).translate(_NEGATE_BYTE) for p in payloads]
+        except ValueError:
+            return list(map(self._key, payloads))
 
 
 class BitLexOrder(LinearOrder):

@@ -3,7 +3,7 @@ shared input strategies."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 
 import hypothesis.strategies as st
 
@@ -217,3 +217,24 @@ def ref_double_bits(n):
 def ref_format_bit_word(word):
     """Per-entry definition: ``str`` of every entry, joined; "e" if empty."""
     return "".join(str(b) for b in word) if word else "e"
+
+
+def ref_word_to_bits(word):
+    """Per-entry definition: each entry's doubled bits, then 0, 1."""
+    return tuple(chain.from_iterable(ref_double_bits(e) + (0, 1) for e in word))
+
+
+def brute_nearest_prefixes(words):
+    """For each word, the index of its longest proper prefix among the
+    words, as a tuple of at most one index."""
+    links = []
+    for w in words:
+        below = [j for j, v in enumerate(words) if len(v) < len(w) and w[: len(v)] == v]
+        links.append((max(below, key=lambda j: len(words[j])),) if below else ())
+    return links
+
+
+def dense_ranks(keys):
+    """The rank of each key among the distinct keys, ascending from 0."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]

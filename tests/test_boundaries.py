@@ -74,6 +74,32 @@ def test_validate_tree_normalises_word_spellings():
     assert validate_tree([[], [1], [1, 1]]).nodes == {(), (1,), (1, 1)}
 
 
+NOT_ITERABLE = {
+    "splitting_depth": lambda: splitting_depth(None),
+    "validate_tree": lambda: validate_tree(3),
+    "from_payloads": lambda: Sequence.from_payloads(Tag.INT, 5),
+    "approaches values": lambda: persistently_approaches(None, 1, []),
+    "approaches anchors": lambda: persistently_approaches([1], 1, None),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_ITERABLE))
+def test_a_container_that_is_not_iterable_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError, match="not iterable"):
+        NOT_ITERABLE[intake]()
+
+
+@pytest.mark.parametrize("index", ["x", None, 1.0])
+def test_witness_index_that_is_not_an_integer_raises(index):
+    seq = Sequence.from_payloads(Tag.INT, [1, 2])
+    with pytest.raises(WitnessIndexError, match="is not an integer"):
+        verify_witness([0, index], seq, IntLessOrder())
+
+
+def test_witness_index_true_reads_as_one():
+    assert verify_witness([0, True], Sequence.from_payloads(Tag.INT, [1, 2]), IntLessOrder())
+
+
 def test_sequence_of_non_elements_raises_domain_mismatch():
     with pytest.raises(DomainMismatchError, match="takes elements, got 1"):
         Sequence(Tag.INT, [1, 2])

@@ -1,0 +1,124 @@
+"""The fast key paths against the paths they skip: bit-words built
+through bytes, exact int keys for dyadic rationals, bytes keys for
+reverse-lex words and bytes prefix links.
+
+Each ``check_*`` function reaches the code through its module or class,
+so ``tests/test_mutants.py`` can run the same checks on a patched copy.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+import hypothesis.strategies as st
+
+from helpers import brute_nearest_prefixes, colliding_rationals, dense_ranks, ref_word_to_bits
+from orderchains import encodings, orders
+from orderchains.orders import rational_key
+
+dyadics = st.builds(
+    lambda num, k: Fraction(num, 2**k),
+    st.integers(-(2**70), 2**70),
+    st.integers(0, 80),
+)
+small_words = st.lists(st.integers(0, 4), max_size=5).map(tuple)
+wide_words = st.lists(st.integers(0, 255), max_size=4).map(tuple)
+
+
+def check_word_to_bits(word):
+    assert encodings.word_to_bits(word) == ref_word_to_bits(word)
+
+
+def check_ratless_keys(values):
+    """Int or ``rational_key`` keys rank the values exactly as the
+    ``Fraction``s do; returns the keys."""
+    keys = orders.RatLessOrder().sort_keys(values)
+    assert dense_ranks(keys) == dense_ranks(values) == dense_ranks(list(map(rational_key, values)))
+    return keys
+
+
+def check_rl_keys(words):
+    """RL sort keys rank the words exactly as ``_key`` does; returns them."""
+    order = orders.ReverseLexOrder()
+    keys = order.sort_keys(words)
+    assert dense_ranks(keys) == dense_ranks(list(map(order._key, words)))
+    return keys
+
+
+def check_prefix_links(words):
+    """Bytes-keyed links equal the tuple sweep's (run on the words with
+    every entry raised past 255, which keeps their prefix structure) and
+    the brute-force nearest prefixes, as link sets."""
+    order = orders.PrefixOrder()
+    links = order.lower_links(words)
+    swept = order.lower_links([tuple(e + 256 for e in w) for w in words])
+    assert list(map(set, links)) == list(map(set, swept)) == list(map(set, brute_nearest_prefixes(words)))
+
+
+@given(st.lists(st.integers(0, 300), max_size=12).map(tuple))
+def test_word_to_bits_matches_the_tuple_build(word):
+    check_word_to_bits(word)
+    assert type(encodings.word_to_bits(word)) is tuple
+
+
+@given(st.lists(dyadics, min_size=1, max_size=30))
+def test_ratless_int_keys_rank_dyadics_exactly(values):
+    keys = check_ratless_keys(values)
+    assert all(type(k) is int for k in keys)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [Fraction(0)],
+        [Fraction(-3), Fraction(0), Fraction(5), Fraction(-3)],
+        [Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 4), Fraction(0), Fraction(7), Fraction(1, 2**40)],
+    ],
+)
+def test_ratless_int_keys_on_integers_negatives_and_zero(values):
+    keys = check_ratless_keys(values)
+    assert all(type(k) is int for k in keys)
+
+
+@given(st.lists(st.one_of(dyadics, colliding_rationals), max_size=20))
+def test_ratless_non_dyadic_sequences_keep_rational_key(values):
+    values = values + [Fraction(1, 3)]
+    assert check_ratless_keys(values) == list(map(rational_key, values))
+
+
+def test_ratless_int_keys_stop_at_the_bit_budget():
+    "4 096 terms with a 2^8191 denominator fit the 2^25-bit budget; one more does not"
+    inside = [Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2**8191)] * 1365 + [Fraction(0)]
+    assert len(inside) * (2**8191).bit_length() == orders._INT_KEY_BITS
+    assert all(type(k) is int for k in check_ratless_keys(inside))
+    outside = inside + [Fraction(5, 8)]
+    assert all(type(k) is tuple for k in check_ratless_keys(outside))
+
+
+def test_ratless_int_keys_refuse_a_lone_huge_denominator():
+    "one tiny dyadic among many would cost n x 128 KiB of shifted keys"
+    values = [Fraction(k, 4) for k in range(300)] + [Fraction(1, 2**10**6)]
+    assert all(type(k) is tuple for k in check_ratless_keys(values))
+
+
+@given(st.lists(st.one_of(small_words, wide_words), min_size=1, max_size=25))
+def test_rl_bytes_keys_rank_as_negated_tuples(words):
+    keys = check_rl_keys(words)
+    assert all(type(k) is bytes for k in keys)
+
+
+@given(st.lists(small_words, max_size=10))
+def test_rl_keys_fall_back_to_tuples_past_255(words):
+    words = words + [(2, 256)]
+    keys = check_rl_keys(words)
+    assert keys == list(map(orders.ReverseLexOrder._key, words))
+
+
+@given(st.lists(st.one_of(small_words, wide_words), unique=True, max_size=25))
+def test_prefix_links_on_bytes_match_the_tuple_sweep(words):
+    check_prefix_links(words)
+
+
+def test_prefix_links_past_255_take_the_tuple_sweep():
+    words = [(), (300,), (300, 1), (1,), (1, 300, 2)]
+    assert orders.PrefixOrder().lower_links(words) == [(), (0,), (1,), (0,), (3,)]

@@ -1,0 +1,123 @@
+"""Mutation guard for the fast paths: each differential check must
+catch the bug it was written for.
+
+A mutant is one textual edit of the real source.  ``mutate`` takes the
+function with ``inspect.getsource``, applies the edit, compiles the
+result in a copy of its module's globals and monkeypatches it in for one
+test.  Each test first runs a fixed sample of the existing checks on the
+real code, where all of them pass, then on the mutant, where at least
+one must fail.  An edit that no longer matches the source exactly once
+fails the test: a refactor updates the edit, never drops the mutant.
+
+To guard a new fast path, write its differential check so that it
+reaches the code through its module or class (as ``tests/test_keys.py``
+does), then add a test here: the owner and name of the function, the
+text to replace and its replacement, and a fixed sample the check runs
+on.
+"""
+
+import inspect
+import random
+import sys
+import textwrap
+from fractions import Fraction
+
+import pytest
+
+from helpers import brute_longest_chain
+from orderchains import chains, encodings, orders
+from orderchains.chains import Sequence
+from orderchains.orders import Tag, make_order
+from test_keys import check_prefix_links, check_ratless_keys, check_rl_keys, check_word_to_bits
+
+rng = random.Random(2)
+WORDS = [tuple(rng.randrange(4) for _ in range(rng.randrange(5))) for _ in range(40)]
+DYADICS = [Fraction(rng.randrange(-64, 64), 2 ** rng.randrange(8)) for _ in range(40)]
+# Rationals whose floats tie: 1/3 plus small multiples of 2**-60.
+TIED = [Fraction(1, 3) + rng.randrange(-3, 4) * Fraction(1, 2**60) for _ in range(40)]
+INTS = [[rng.randrange(6) for _ in range(rng.randrange(1, 9))] for _ in range(30)]
+PREFIX_WORDS = [[tuple(rng.randrange(2) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(4, 11))] for _ in range(30)]
+
+
+def mutate(monkeypatch, owner, name, old, new):
+    """Patch ``owner.name`` with its source edited from ``old`` to ``new``."""
+    fn = vars(owner)[name]
+    source = textwrap.dedent(inspect.getsource(fn))
+    if source.count(old) != 1:
+        pytest.fail(f"mutant edit {old!r} no longer applies once to {fn.__qualname__}")
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def rejected(check, sample):
+    """How many of the sample's argument tuples the check rejects."""
+    failures = 0
+    for args in sample:
+        try:
+            check(*args)
+        except AssertionError:
+            failures += 1
+    return failures
+
+
+def check_chain(name, tag, payloads, strict):
+    """``longest_chain`` gives the brute-force length and least witness."""
+    seq = Sequence.from_payloads(tag, payloads)
+    order = make_order(name, strict)
+    length, witness = chains.longest_chain(seq, order)
+    assert (length, witness.indices) == brute_longest_chain(seq, order)
+
+
+INT_CHAINS = [("IntLess", Tag.INT, p, strict) for p in INTS for strict in (True, False)]
+PREFIX_CHAINS = [("SubsetWordNat", Tag.WORD_NAT, p, strict) for p in PREFIX_WORDS for strict in (True, False)]
+
+
+MUTANTS = {
+    "word_to_bits without the 01 marker": (
+        encodings, "word_to_bits", ' + b"\\x00\\x01"', "",
+        check_word_to_bits, [(w,) for w in WORDS],
+    ),
+    "RatLess int keys without the shift": (
+        orders.RatLessOrder, "sort_keys", "q.numerator << (top - d.bit_length())", "q.numerator",
+        check_ratless_keys, [(DYADICS[k : k + 5],) for k in range(0, 40, 5)],
+    ),
+    "RL bytes keys with an identity table": (
+        orders.ReverseLexOrder, "sort_keys", "translate(_NEGATE_BYTE)", "translate(bytes(range(256)))",
+        check_rl_keys, [(WORDS[k : k + 5],) for k in range(0, 40, 5)],
+    ),
+    "prefix links keyed on all but the last entry": (
+        orders.PrefixOrder, "lower_links", "bytes(v)", "bytes(v[:-1])",
+        check_prefix_links, [(list(dict.fromkeys(WORDS[k : k + 8])),) for k in range(0, 40, 8)],
+    ),
+    "ranked pass with the bisect sides swapped": (
+        chains, "_suffix_lengths_ranked",
+        "bisect.bisect_left if strict else bisect.bisect_right",
+        "bisect.bisect_right if strict else bisect.bisect_left",
+        check_chain, INT_CHAINS,
+    ),
+    "ranked pass giving every position its own rank": (
+        chains, "_suffix_lengths_ranked", "if key != prev:", "if True:",
+        check_chain, INT_CHAINS,
+    ),
+    "linked push stopped after one link": (
+        chains, "_suffix_lengths_linked", "stack.append(q)", "pass",
+        check_chain, PREFIX_CHAINS,
+    ),
+    "witness rebuild without the relation test": (
+        chains, "longest_chain", "starts[i] == need and (prev < 0 or rel(prev, i))", "starts[i] == need",
+        check_chain, INT_CHAINS + PREFIX_CHAINS,
+    ),
+    "float-only rational key": (
+        orders, "rational_key", "return (f, q)", "return (f,)",
+        check_ratless_keys, [(TIED[k : k + 5],) for k in range(0, 40, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutant_is_caught(mutant, monkeypatch):
+    owner, name, old, new, check, sample = MUTANTS[mutant]
+    assert rejected(check, sample) == 0
+    mutate(monkeypatch, owner, name, old, new)
+    assert rejected(check, sample) > 0
