@@ -53,6 +53,7 @@ from .errors import (
     ParseError,
     WitnessIndexError,
     echo,
+    read_container,
 )
 from .orders import (
     Element,
@@ -78,7 +79,7 @@ class Sequence:
     __slots__ = ("_tag", "_payloads", "_items")
 
     def __init__(self, tag: Tag, items):
-        items = tuple(items)
+        items = read_container(items, "sequence elements")
         for el in items:
             if not isinstance(el, Element):
                 raise DomainMismatchError(f"sequence tagged {tag.value} takes elements, got {echo(el, repr)}")
@@ -329,7 +330,7 @@ def verify_witness(indices, y: Sequence, order: Order) -> bool:
     Positions that are not integers or are out of range raise; a
     non-increasing index vector or a broken link simply yields False.
     """
-    idx = list(indices)
+    idx = read_container(indices, "witness indices")
     n = len(y)
     for i in idx:
         try:

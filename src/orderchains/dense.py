@@ -47,6 +47,7 @@ from .errors import (
     SearchBudgetError,
     StreamError,
     echo,
+    read_container,
 )
 from .orders import Element, Order, Tag, make_element, rational_key, validate_payloads
 from .trees import iter_words
@@ -112,6 +113,7 @@ class FixedStages:
     name = "fixed"
 
     def __init__(self, intervals: Iterable[Interval]):
+        intervals = read_container(intervals, "stage intervals")
         ivs = sorted(validate_payloads(Tag.RATIONAL, (lo, hi)) for lo, hi in intervals)
         for lo, hi in ivs:
             if lo > hi:
@@ -231,7 +233,7 @@ class CountableSetStream:
     outside [0, 1] and a repeat raise ``StreamError``."""
 
     def __init__(self, values: Iterable, name: str = "stream"):
-        self._values = iter(values)
+        self._values = read_container(values, "stream values", iter)
         self.name = name
         self._cache: list[Fraction] = []
         self._seen: dict[tuple[int, int], int] = {}
@@ -393,6 +395,7 @@ def dense_embed(
     already taken lies strictly between two neighbours.  Runs out of
     budget only if the stream is not dense enough between those images.
     """
+    elems = read_container(elems, "elements to embed")
     if not order.is_linear:
         raise LinearityError(f"dense_embed needs a linear source order, got {order.name}")
     images: dict[Element, Fraction] = {}

@@ -4,35 +4,48 @@
 order is preserved and reflected; ``word_to_dyadic`` embeds nat-words
 into dyadic rationals so that the reverse-entry lexicographic order is
 preserved and reflected.  All rational arithmetic is exact.
+
+Both encoders cost O(runs) Python steps plus C-speed copying: they walk
+a word by runs of equal entries and make a run's k copies at C speed,
+so a filler ``1^n 0`` of the reduction, two runs, takes O(1) Python
+steps whatever its length.  ``word_to_dyadic`` shifts entry by entry
+below ``_RUN_DIGITS`` binary digits, where that is cheaper.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import ArgumentOrderError, DomainMismatchError, echo
 from .words import Word, is_prefix
 
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+def _doubled(n: int) -> Word:
+    return tuple(format(n, "b").encode().replace(b"0", b"\x00\x00").replace(b"1", b"\x01\x01"))
+
+
+# double_bits of each n below 256, built once at import (about 0.2 ms):
+# word_to_bits asks for one code per run, and most entries are small.
+_SMALL_DOUBLED = tuple(map(_doubled, range(256)))
 
 
 def double_bits(n: int) -> Word:
     """Binary digits of n with every bit doubled; 0 encodes to (0, 0)."""
     if n < 0:
         raise DomainMismatchError("double_bits is defined on the naturals")
-    doubled = format(n, "b").replace("0", "00").replace("1", "11")
-    return tuple(doubled.encode().translate(_DIGIT_BITS))
+    return _SMALL_DOUBLED[n] if n < 256 else _doubled(n)
 
 
 def word_to_bits(word: Word) -> Word:
     """Encode a nat-word as doubled-bit entry codes joined by 01 markers.
 
     The marker can never occur inside a doubled-bit block, so decoding
-    is unambiguous and prefixes map exactly to prefixes.
+    is unambiguous and prefixes map exactly to prefixes.  A run of k
+    equal entries is its code repeated k times.
     """
-    codes = {e: bytes(double_bits(e)) + b"\x00\x01" for e in set(word)}
     # A tuple built from bytes is allocated once at its final size.
-    return tuple(b"".join(map(codes.__getitem__, word)))
+    return tuple(b"".join([(bytes(double_bits(e)) + b"\x00\x01") * len([*run]) for e, run in groupby(word)]))
 
 
 # The most binary digits word_to_dyadic writes: 2^20, a 128 KiB
@@ -40,6 +53,12 @@ def word_to_bits(word: Word) -> Word:
 # below trees.MAX_HORIZON ones and a zero, takes under 2 * MAX_HORIZON
 # digits.  The cap bounds the words a caller encodes directly.
 MAX_DYADIC_DIGITS = 1 << 20
+
+# A word of fewer binary digits than this (so of fewer entries) takes
+# word_to_dyadic's shift per entry: one run costs about as many Python
+# steps as three entries, and a filler, 2n - 1 digits, breaks even near
+# n = 16.  Short words such as the CLI's encode tokens keep the loop.
+_RUN_DIGITS = 64
 
 
 def word_to_dyadic(word: Word) -> Fraction:
@@ -51,15 +70,34 @@ def word_to_dyadic(word: Word) -> Fraction:
     extending a word only adds smaller binary digits, which keeps
     prefixes below their extensions.  Words needing more than
     ``MAX_DYADIC_DIGITS`` digits raise before any shift.
+
+    A run of k entries e writes k copies of the block ``0^e 1``, which
+    is the repunit ``(2^(k(e+1)) - 1) / (2^(e+1) - 1)`` in base 2^(e+1):
+    one division, cheap while the divisor has no more bits than there
+    are copies.  Fewer copies of a wider block take one shift each, as
+    the per-entry loop does.
     """
     digits = len(word) + sum(word)
+    num = 0
+    if digits < _RUN_DIGITS:
+        for entry in word:
+            num = (num << (entry + 1)) | 1
+        return Fraction(num, 1 << digits)
     if digits > MAX_DYADIC_DIGITS:
         raise DomainMismatchError(
             f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
         )
-    num = 0
-    for entry in word:
-        num = (num << (entry + 1)) | 1
+    for entry, run in groupby(word):
+        step = entry + 1
+        count = len([*run])
+        if count == 1:
+            num = (num << step) | 1
+        elif count < step:
+            for _ in range(count):
+                num = (num << step) | 1
+        else:
+            width = step * count
+            num = (num << width) | ((1 << width) - 1) // ((1 << step) - 1)
     return Fraction(num, 1 << digits)
 
 

@@ -1,5 +1,6 @@
-"""Typed errors shared across the package, and ``echo``, which writes a
-caller's value into an error message."""
+"""Typed errors shared across the package; ``echo``, which writes a
+caller's value into an error message; and ``read_container``, which
+reads a caller's container."""
 
 
 def echo(value, form=str) -> str:
@@ -14,6 +15,16 @@ def echo(value, form=str) -> str:
         return form(value)
     except ValueError:
         return f"<{type(value).__name__} too large to print>"
+
+
+def read_container(values, what: str, read=tuple):
+    """``read(values)``, ``tuple`` or ``iter``, on a caller's container;
+    one that cannot be iterated raises ``DomainMismatchError`` naming
+    ``what``, before the caller does any other work."""
+    try:
+        return read(values)
+    except TypeError as exc:
+        raise DomainMismatchError(f"cannot read {what}: {exc}") from exc
 
 
 class OrderChainsError(Exception):

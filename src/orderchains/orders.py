@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from math import inf, isqrt
 
-from .errors import ArgumentError, DomainMismatchError, ParseError, echo
+from .errors import ArgumentError, DomainMismatchError, ParseError, echo, read_container
 from .words import (
     format_bit_word,
     format_nat_word,
@@ -118,10 +118,7 @@ def validate_payloads(tag: Tag, payloads) -> tuple:
     error on the first bad payload.  A container that cannot be read
     raises ``DomainMismatchError`` too.
     """
-    try:
-        values = tuple(payloads)
-    except TypeError as exc:
-        raise DomainMismatchError(f"cannot read {tag} payloads: {exc}") from exc
+    values = read_container(payloads, f"{tag} payloads")
     if _valid_payloads(tag, values):
         return values
     return tuple(make_element(tag, p).value for p in values)
@@ -564,6 +561,14 @@ KNOWN_AXIOMS = ("reflexivity", "antisymmetry", "transitivity", "totality")
 # machine under IntLess, RatLess or RL.
 MAX_AXIOM_SUPPORT = 900
 
+# The most transitivity violations check_axioms reports.  Each takes
+# about 160 bytes (an ``AxiomViolation`` and its witness tuple), so a
+# report at the cap holds about 42 MB, and the row masks that count them
+# at most as much again.  A non-transitive oracle can have about n^3 of
+# them, some 10^8 at MAX_AXIOM_SUPPORT; each other axiom has at most
+# n^2 / 2.
+MAX_AXIOM_VIOLATIONS = 1 << 18
+
 
 def _set_bits(x: int) -> list[int]:
     """The positions of the set bits of x >= 0, ascending."""
@@ -577,9 +582,11 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     plus totality when the oracle claims linearity.  Pass ``axioms`` to
     probe a different set (e.g. totality of a partial order).  The
     report lists every violated instance.  A support of more than
-    ``MAX_AXIOM_SUPPORT`` elements raises ``ArgumentError``.
+    ``MAX_AXIOM_SUPPORT`` elements, or one with more than
+    ``MAX_AXIOM_VIOLATIONS`` transitivity violations, raises
+    ``ArgumentError``; the violations are counted before any is built.
     """
-    elems = list(support)
+    elems = read_container(support, "axiom support")
     n = len(elems)
     if n > MAX_AXIOM_SUPPORT:
         raise ArgumentError(f"check_axioms takes at most {MAX_AXIOM_SUPPORT} support elements, got {n}")
@@ -595,6 +602,23 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     values = [el.value for el in elems]
     compare = order._compare
     cmp_matrix = [[compare(x, y) for y in values] for x in values]
+    if "transitivity" in axioms:
+        # Row i as one int: bit k is set iff i is related to k.  Each
+        # violation (i, j, k) is a bit k of rows[j] missing from rows[i],
+        # so the bits of the nonzero masks count them before any is built.
+        holds = order._holds
+        rows = [int("".join("1" if holds(c) else "0" for c in reversed(row)), 2) for row in cmp_matrix]
+        missing, found = [], 0
+        for i, row_i in enumerate(rows):
+            for j in _set_bits(row_i):
+                mask = rows[j] & ~row_i
+                if mask:
+                    found += mask.bit_count()
+                    if found > MAX_AXIOM_VIOLATIONS:
+                        raise ArgumentError(
+                            f"check_axioms reports at most {MAX_AXIOM_VIOLATIONS} transitivity violations"
+                        )
+                    missing.append((i, j, mask))
     violations: list[AxiomViolation] = []
 
     if "reflexivity" in axioms:
@@ -610,14 +634,9 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
                     violations.append(AxiomViolation("antisymmetry", (elems[i], elems[j])))
 
     if "transitivity" in axioms:
-        # Row i as one int: bit k is set iff i is related to k.  Each
-        # violation (i, j, k) is a bit k of rows[j] missing from rows[i].
-        holds = order._holds
-        rows = [int("".join("1" if holds(c) else "0" for c in reversed(row)), 2) for row in cmp_matrix]
-        for i, row_i in enumerate(rows):
-            for j in _set_bits(row_i):
-                for k in _set_bits(rows[j] & ~row_i):
-                    violations.append(AxiomViolation("transitivity", (elems[i], elems[j], elems[k])))
+        for i, j, mask in missing:
+            for k in _set_bits(mask):
+                violations.append(AxiomViolation("transitivity", (elems[i], elems[j], elems[k])))
 
     if "totality" in axioms:
         for i in range(n):

@@ -31,7 +31,17 @@ from orderchains.errors import (
     WitnessIndexError,
     echo,
 )
-from orderchains.orders import Element, IntLessOrder, RatLessOrder, Tag, make_element, parse_payload, validate_payloads
+from orderchains.orders import (
+    Element,
+    IntLessOrder,
+    RatLessOrder,
+    Tag,
+    check_axioms,
+    make_element,
+    make_order,
+    parse_payload,
+    validate_payloads,
+)
 from orderchains.reductions import TreeGenSpec, make_pipeline, reduce_tree
 from orderchains.trees import MAX_HORIZON, filler, validate_tree
 
@@ -80,6 +90,13 @@ NOT_ITERABLE = {
     "from_payloads": lambda: Sequence.from_payloads(Tag.INT, 5),
     "approaches values": lambda: persistently_approaches(None, 1, []),
     "approaches anchors": lambda: persistently_approaches([1], 1, None),
+    "verify_witness": lambda: verify_witness(None, Sequence.from_payloads(Tag.INT, [1]), IntLessOrder()),
+    "Sequence": lambda: Sequence(Tag.INT, None),
+    "check_axioms": lambda: check_axioms(IntLessOrder(), None),
+    "FixedStages": lambda: FixedStages(None),
+    "stream": lambda: CountableSetStream(None).value(0),
+    # Read before the linearity check, which this order would fail.
+    "dense_embed": lambda: dense_embed(None, make_order("Divides"), CountableSetStream([])),
 }
 
 

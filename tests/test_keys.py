@@ -1,5 +1,6 @@
 """The fast key paths against the paths they skip: bit-words built
-through bytes, exact int keys for dyadic rationals, bytes keys for
+through bytes, doubled bits read from a table, encoders that walk runs
+of equal entries, exact int keys for dyadic rationals, bytes keys for
 reverse-lex words and bytes prefix links.
 
 Each ``check_*`` function reaches the code through its module or class,
@@ -7,14 +8,24 @@ so ``tests/test_mutants.py`` can run the same checks on a patched copy.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from helpers import brute_nearest_prefixes, colliding_rationals, dense_ranks, ref_word_to_bits
+from helpers import (
+    brute_nearest_prefixes,
+    colliding_rationals,
+    dense_ranks,
+    ref_double_bits,
+    ref_word_to_bits,
+    ref_word_to_dyadic,
+)
 from orderchains import encodings, orders
+from orderchains.errors import DomainMismatchError
 from orderchains.orders import rational_key
+from orderchains.trees import MAX_HORIZON, filler
 
 dyadics = st.builds(
     lambda num, k: Fraction(num, 2**k),
@@ -24,9 +35,27 @@ dyadics = st.builds(
 small_words = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 wide_words = st.lists(st.integers(0, 255), max_size=4).map(tuple)
 
+# Words drawn as runs of equal entries: small entries (fillers are made
+# of 0 and 1), entries around 255, where a doubled-bit code outgrows one
+# byte, and entries wider than a run is long, which word_to_dyadic
+# shifts one copy at a time.
+run_entries = st.one_of(st.integers(0, 3), st.integers(250, 300))
+run_words = st.one_of(
+    st.lists(st.tuples(run_entries, st.integers(1, 40)), max_size=8).map(
+        lambda runs: tuple(chain.from_iterable((e,) * k for e, k in runs))
+    ),
+    st.integers(0, MAX_HORIZON - 1).map(filler),
+    st.builds(lambda a, b, k: (a, b) * k, run_entries, run_entries, st.integers(0, 30)),
+    st.lists(run_entries, max_size=40).map(tuple),
+)
+
 
 def check_word_to_bits(word):
     assert encodings.word_to_bits(word) == ref_word_to_bits(word)
+
+
+def check_word_to_dyadic(word):
+    assert encodings.word_to_dyadic(word) == ref_word_to_dyadic(word)
 
 
 def check_ratless_keys(values):
@@ -59,6 +88,56 @@ def check_prefix_links(words):
 def test_word_to_bits_matches_the_tuple_build(word):
     check_word_to_bits(word)
     assert type(encodings.word_to_bits(word)) is tuple
+
+
+def test_double_bits_table_matches_the_per_bit_definition():
+    "every entry of the small-entry table, and the first values past it"
+    for n in range(300):
+        assert encodings.double_bits(n) == ref_double_bits(n)
+
+
+@given(run_words)
+@example(())
+@example(filler(MAX_HORIZON - 1))
+def test_run_length_encoders_match_the_per_entry_definitions(word):
+    check_word_to_bits(word)
+    check_word_to_dyadic(word)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (0,) * 63,  # one digit short of walking runs
+        (0,) * 64,
+        (20,) * 20,  # one copy fewer than the block is wide: a shift per copy
+        (20,) * 21,  # as many copies as bits: one repunit division
+        (31,) * 32 + (29,) * 30,  # a two-digit divisor, then a one-digit one
+        (5, 5) + (7,) * 15 + (5,) + (0,) * 3,
+        (1, 0) * 32,
+    ],
+)
+def test_run_length_encoders_at_the_path_boundaries(word):
+    check_word_to_bits(word)
+    check_word_to_dyadic(word)
+
+
+class _CountedWord(tuple):
+    """A word that counts how many times it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("word", [(0,) * (encodings.MAX_DYADIC_DIGITS + 1), (2**19,) * 2])
+def test_word_to_dyadic_refuses_past_the_digit_cap_before_any_shift(word):
+    "the cap is read from len and sum, one walk of the word; no run is walked after it"
+    word = _CountedWord(word)
+    with pytest.raises(DomainMismatchError, match="at most"):
+        encodings.word_to_dyadic(word)
+    assert word.walks == 1
 
 
 @given(st.lists(dyadics, min_size=1, max_size=30))

@@ -28,7 +28,8 @@ from helpers import brute_longest_chain
 from orderchains import chains, encodings, orders
 from orderchains.chains import Sequence
 from orderchains.orders import Tag, make_order
-from test_keys import check_prefix_links, check_ratless_keys, check_rl_keys, check_word_to_bits
+from orderchains.trees import filler
+from test_keys import check_prefix_links, check_ratless_keys, check_rl_keys, check_word_to_bits, check_word_to_dyadic
 
 rng = random.Random(2)
 WORDS = [tuple(rng.randrange(4) for _ in range(rng.randrange(5))) for _ in range(40)]
@@ -36,6 +37,8 @@ DYADICS = [Fraction(rng.randrange(-64, 64), 2 ** rng.randrange(8)) for _ in rang
 # Rationals whose floats tie: 1/3 plus small multiples of 2**-60.
 TIED = [Fraction(1, 3) + rng.randrange(-3, 4) * Fraction(1, 2**60) for _ in range(40)]
 INTS = [[rng.randrange(6) for _ in range(rng.randrange(1, 9))] for _ in range(30)]
+# Words long enough for word_to_dyadic to walk their runs.
+RUN_WORDS = [filler(n) for n in (32, 40, 200)] + [(2,) * 22, (0,) * 64 + (3,) * 3, (1, 0) * 22 + (1,) * 5, (300,) * 17]
 PREFIX_WORDS = [[tuple(rng.randrange(2) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(4, 11))] for _ in range(30)]
 
 
@@ -77,6 +80,18 @@ MUTANTS = {
     "word_to_bits without the 01 marker": (
         encodings, "word_to_bits", ' + b"\\x00\\x01"', "",
         check_word_to_bits, [(w,) for w in WORDS],
+    ),
+    "word_to_bits reading every run as one entry": (
+        encodings, "word_to_bits", " * len([*run])", "",
+        check_word_to_bits, [(w,) for w in RUN_WORDS],
+    ),
+    "double_bits reading its small-entry table one place off": (
+        encodings, "double_bits", "_SMALL_DOUBLED[n]", "_SMALL_DOUBLED[n - 1]",
+        check_word_to_bits, [(w,) for w in WORDS],
+    ),
+    "word_to_dyadic with the repunit divisor off by one": (
+        encodings, "word_to_dyadic", "// ((1 << step) - 1)", "// (1 << step)",
+        check_word_to_dyadic, [(w,) for w in RUN_WORDS],
     ),
     "RatLess int keys without the shift": (
         orders.RatLessOrder, "sort_keys", "q.numerator << (top - d.bit_length())", "q.numerator",

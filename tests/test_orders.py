@@ -1,6 +1,7 @@
 """Comparison oracles: verdicts, strictness, axioms."""
 
 import enum
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from orderchains.orders import (
     INCOMPARABLE,
     LT,
     MAX_AXIOM_SUPPORT,
+    MAX_AXIOM_VIOLATIONS,
     ORDER_NAMES,
     Element,
     Order,
@@ -394,6 +396,42 @@ def test_transitivity_violations_match_a_triple_loop(payloads, strict):
     assert want
     report = check_axioms(order, support, axioms=("transitivity",))
     assert [v.witness for v in report.violations] == want
+
+
+@pytest.mark.parametrize(
+    "strict, count, digest",
+    [
+        (True, 86_003, "d48f3d8d439d16d3b685b5d20c97474342822a15ab059e813d18d571918cfa8c"),
+        (False, 222_372, "481f4ee09eee23a81d6f6199e306bf1937bc97f7cd1fb75e71afca7dfca4289e"),
+    ],
+)
+def test_reports_below_the_violation_cap_are_unchanged(strict, count, digest):
+    "120 hashed verdicts stay below the cap: the report's size and the SHA-256 of its text are pinned"
+    report = check_axioms(_HashedOrder(strict=strict), elems(Tag.INT, range(120)))
+    assert sum(v.axiom == "transitivity" for v in report.violations) <= MAX_AXIOM_VIOLATIONS
+    assert len(report.violations) == count
+    assert hashlib.sha256(report.describe().encode()).hexdigest() == digest
+
+
+class _LayeredOrder(Order):
+    """Payload v sits in layer v // 64; x lies below y exactly when y's
+    layer is the next one above x's, so no relation spans two layers."""
+
+    name = "Layered"
+    domain = Tag.INT
+
+    def _compare(self, x, y):
+        step = y // 64 - x // 64
+        return EQ if x == y else LT if step == 1 else GT if step == -1 else INCOMPARABLE
+
+
+def test_check_axioms_refuses_a_report_past_the_violation_cap(monkeypatch):
+    "three full layers of 64 give 64^3 = the cap, one more chain of three gives one more"
+    support = elems(Tag.INT, [*range(192), 640, 704, 768])
+    assert 64**3 == MAX_AXIOM_VIOLATIONS
+    monkeypatch.setattr("orderchains.orders.AxiomViolation", lambda *a: pytest.fail("built a violation past the cap"))
+    with pytest.raises(ArgumentError, match=f"at most {MAX_AXIOM_VIOLATIONS} transitivity violations"):
+        check_axioms(_LayeredOrder(), support)
 
 
 def test_totality_probe_finds_incomparable_pair():
