@@ -18,11 +18,10 @@ right, the longest chain ``starts[i]`` starting at each position, then
 rebuilds the lexicographically least witness.  The oracle alone picks
 the index that finds the best later start:
 
-* ``ranked``: linear oracles.  One sort of the positions by the
-  oracle's ``sort_keys`` (which may be ints or bytes that order as the
-  payloads do) gives each a dense rank, then one right-to-left patience
-  pass with binary search over the ranks gives every start, O(n log n)
-  in all.
+* ``ranked``: linear oracles.  One right-to-left patience pass with
+  binary search over the oracle's ``sort_keys`` (which may be ints or
+  bytes that order as the payloads do) gives every start, O(n log n)
+  key comparisons and no sort.
 * ``linked``: oracles whose ``lower_links`` lists the values below each
   value (the prefix orders, Divides, Delta).  Each new start is pushed
   down the links into the best start above every lower value, O(n +
@@ -32,7 +31,7 @@ the index that finds the best later start:
   ``method="generic"`` forces.
 
 Each index gives the rebuild its relation on positions: ``ranked`` by
-rank, the others by the oracle's relation on payloads.  ``linked`` and
+key, the others by the oracle's relation on payloads.  ``linked`` and
 ``generic`` then confirm each witness link through ``Order.related``.
 
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
@@ -164,13 +163,12 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
     Among maximum-length chains the witness has the lexicographically
     least index vector.  By default the oracle picks the index:
-    ``ranked`` for linear oracles (one sort of the n positions into
-    dense ranks, then a patience pass with binary search, O(n log n)),
-    the lower-link index over the v distinct values (O(n + v log v) plus
-    pushes bounded by n times the link depth) for oracles whose
-    ``lower_links`` is not None, and the O(n^2) generic scan for the
-    rest.  ``method="generic"`` forces that scan, the reference the
-    other indexes are tested against.
+    ``ranked`` for linear oracles (a patience pass with binary search
+    over the sort keys, O(n log n)), the lower-link index over the v
+    distinct values (O(n + v log v) plus pushes bounded by n times the
+    link depth) for oracles whose ``lower_links`` is not None, and the
+    O(n^2) generic scan for the rest.  ``method="generic"`` forces that
+    scan, the reference the other indexes are tested against.
 
     The kernels compare payloads, and an ``Element`` is built for each
     witness term only.  The lower-link and generic rebuilds confirm each
@@ -272,36 +270,25 @@ def _suffix_lengths_linked(ids, links, strict):
 def _suffix_lengths_ranked(payloads, order):
     n = len(payloads)
     keys = order.sort_keys(payloads)
-    # A position's slot is minus the dense rank of its key: equal keys
-    # share a slot and larger values get smaller ones, so a chain read
-    # right to left climbs in slots.
-    slots = [0] * n
-    slot = 0
-    prev = object()
-    for i in sorted(range(n), key=keys.__getitem__):
-        key = keys[i]
-        if key != prev:
-            slot -= 1
-            prev = key
-        slots[i] = slot
-    # Patience pass from the right: tails[k] is the least slot that ends
-    # a climb of length k + 1 so far, and the insertion point of a slot
-    # is the length of the longest climb it extends.
+    # Patience pass from the right: tails[n - l] is the greatest key that
+    # starts a chain of length l so far, so tails[lo:] ascends, and the
+    # first tail above a key (at or above it, non-strict) sits at the
+    # longest chain that key extends.
     strict = order.strict
-    find = bisect.bisect_left if strict else bisect.bisect_right
-    tails: list[int] = []
-    starts = [1] * n
+    find = bisect.bisect_right if strict else bisect.bisect_left
+    tails = [None] * n
+    lo = n
+    starts = [0] * n
     for i in range(n - 1, -1, -1):
-        slot = slots[i]
-        pos = find(tails, slot)
-        if pos == len(tails):
-            tails.append(slot)
-        else:
-            tails[pos] = slot
-        starts[i] = pos + 1
+        key = keys[i]
+        pos = find(tails, key, lo)
+        if pos == lo:
+            lo -= 1
+        tails[pos - 1] = key
+        starts[i] = n - pos + 1
 
     def rel(i, j):
-        return slots[j] < slots[i] if strict else slots[j] <= slots[i]
+        return keys[i] < keys[j] if strict else keys[i] <= keys[j]
 
     return starts, rel
 

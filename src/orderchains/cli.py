@@ -125,8 +125,24 @@ def cmd_encode(args) -> int:
         if args.map == "binary":
             print(format_bit_word(encodings.word_to_bits(word)))
         else:
+            _check_dyadic_printable(len(word) + sum(word))
             print(orders.format_payload(Tag.RATIONAL, encodings.word_to_dyadic(word)))
     return 0
+
+
+def _check_dyadic_printable(digits: int) -> None:
+    """Refuse, before encoding it, a word the printer would refuse.
+
+    The image of a word of ``digits`` binary digits is an odd m over
+    2^digits with m < 2^digits, so the printer refuses it exactly when
+    2^digits has more than the interpreter's limit L of decimal digits,
+    that is when 2^digits >= 10^L; never when digits <= 3L, as 10^L >
+    2^(3L).  A limit of 0 is no limit, and a word past the encoder's own
+    cap keeps the encoder's error.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * limit < digits <= encodings.MAX_DYADIC_DIGITS and 1 << digits >= 10**limit:
+        raise orders.too_large_to_print()
 
 
 def cmd_fuzz(args) -> int:

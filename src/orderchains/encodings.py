@@ -61,6 +61,9 @@ MAX_DYADIC_DIGITS = 1 << 20
 _RUN_DIGITS = 64
 
 
+_NAT_WORDS_ONLY = "word_to_dyadic is defined on words of naturals"
+
+
 def word_to_dyadic(word: Word) -> Fraction:
     """Encode a nat-word as the dyadic rational 0.0^{a_0}1 0^{a_1}1 ...
 
@@ -69,7 +72,9 @@ def word_to_dyadic(word: Word) -> Fraction:
     further right, which realises the reverse-entry comparison, and
     extending a word only adds smaller binary digits, which keeps
     prefixes below their extensions.  Words needing more than
-    ``MAX_DYADIC_DIGITS`` digits raise before any shift.
+    ``MAX_DYADIC_DIGITS`` digits raise before any shift.  A word with a
+    negative entry raises too, having written no more digits than its
+    ``len + sum`` counts.
 
     A run of k entries e writes k copies of the block ``0^e 1``, which
     is the repunit ``(2^(k(e+1)) - 1) / (2^(e+1) - 1)`` in base 2^(e+1):
@@ -80,6 +85,8 @@ def word_to_dyadic(word: Word) -> Fraction:
     digits = len(word) + sum(word)
     num = 0
     if digits < _RUN_DIGITS:
+        if word and min(word) < 0:
+            raise DomainMismatchError(_NAT_WORDS_ONLY)
         for entry in word:
             num = (num << (entry + 1)) | 1
         return Fraction(num, 1 << digits)
@@ -87,9 +94,15 @@ def word_to_dyadic(word: Word) -> Fraction:
         raise DomainMismatchError(
             f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
         )
+    written = 0
     for entry, run in groupby(word):
         step = entry + 1
         count = len([*run])
+        written += step * count
+        # The runs so far need no more digits than the whole word unless
+        # a negative entry, which lowers ``digits``, lies ahead.
+        if entry < 0 or written > digits:
+            raise DomainMismatchError(_NAT_WORDS_ONLY)
         if count == 1:
             num = (num << step) | 1
         elif count < step:

@@ -6,9 +6,13 @@ the verdict onto the strict or reflexive reading the oracle was built
 with; ``_compare`` and ``_related`` do the same on unchecked payloads.
 A linear oracle states its order once, as one key per payload that
 embeds it into Python's native comparisons: ``compare`` and ``sort_key``
-both derive from that key.  The chain algorithms rank by ``sort_keys``,
-which may trade that key for one that orders the same and compares in
-C: exact ints for dyadic rationals, bytes for reverse-lex words.
+both derive from that key.  The ranked chain pass compares
+``sort_keys``, which may trade that key for one that orders the same
+and compares in C: exact ints for dyadic rationals, bytes for
+reverse-lex words.  A partial oracle may instead list the values below
+each value through ``lower_links``, which the linked chain index
+follows: nearest prefixes for the prefix orders, proper divisors for
+Divides.
 """
 
 from __future__ import annotations
@@ -204,15 +208,21 @@ def parse_element(text: str, tag: Tag) -> Element:
     return Element(tag, parse_payload(text, tag))
 
 
+def too_large_to_print() -> ArgumentError:
+    """The error ``format_payload`` raises for a rational with more
+    decimal digits than the interpreter converts."""
+    return ArgumentError(
+        f"rational too large to print: its numerator or denominator has more than {sys.get_int_max_str_digits()} decimal digits"
+    )
+
+
 def format_payload(tag: Tag, payload) -> str:
     """Render a payload in the same syntax parse_payload accepts."""
     if tag is _RATIONAL:
         try:
             return f"{payload.numerator}/{payload.denominator}"
         except ValueError as exc:  # more digits than int -> str converts
-            raise ArgumentError(
-                f"rational too large to print: its numerator or denominator has more than {sys.get_int_max_str_digits()} decimal digits"
-            ) from exc
+            raise too_large_to_print() from exc
     if tag is _WORD_NAT:
         return format_nat_word(payload)
     if tag is _WORD_BIT:
@@ -334,24 +344,42 @@ class DividesOrder(Order):
     def lower_links(self, values):
         """Every proper divisor among ``values``.
 
-        Trial division up to each value's square root while the largest
-        value's root is below the number v of values, a scan over the
-        values otherwise: either takes at most v² steps, so huge naturals
-        never cost more than the scan.
+        Each value x finds the values it divides either by walking its
+        multiples up to the largest value top, top // x lookups, or by
+        dividing each of the v values by it, v steps, whichever is
+        fewer.  Trial division of each value y up to its square root
+        takes over when that is fewer steps in all.  So no input costs
+        more than min(v², Σ√y) steps: huge naturals never cost more than
+        a scan of all pairs, and values within a constant factor of each
+        other cost O(v).
         """
-        if isqrt(max(values, default=0)) >= len(values):
-            return [tuple(j for j, y in enumerate(values) if y != x and x % y == 0) for x in values]
+        v = len(values)
+        top = max(values, default=0)
+        # Steps to find the values each x divides: top // x by the walk,
+        # v by the scan.
+        steps = [top // x if top < v * x else v for x in values]
         index = {x: k for k, x in enumerate(values)}
-        links = []
-        for x in values:
-            below = []
-            for d in range(1, isqrt(x) + 1):
-                if x % d == 0:
-                    for y in {d, x // d}:
-                        if y != x and y in index:
-                            below.append(index[y])
-            links.append(tuple(below))
-        return links
+        roots = list(map(isqrt, values))
+        links: list[list[int]] = [[] for _ in values]
+        if sum(roots) < sum(steps):
+            # Trial division: each divisor d up to the root of x, with x // d.
+            for below, x, root in zip(links, values, roots):
+                for d in range(1, root + 1):
+                    if x % d == 0:
+                        q = x // d
+                        if d in index and d != x:
+                            below.append(index[d])
+                        if q in index and q != x and q != d:
+                            below.append(index[q])
+        else:
+            for k, x in enumerate(values):
+                if steps[k] < v:
+                    multiples = [index[m] for m in range(2 * x, top + 1, x) if m in index]
+                else:
+                    multiples = [j for j, y in enumerate(values) if y % x == 0 and j != k]
+                for j in multiples:
+                    links[j].append(k)
+        return list(map(tuple, links))
 
 
 class DeltaOrder(Order):

@@ -200,10 +200,13 @@ def test_every_method_matches_brute_force(case, strict, data):
 
 
 # Partial oracles that carry lower links, with payloads that give both
-# repeats and related pairs in sequences of up to 60 terms.  The two
-# Divides ranges sit on either side of the rule that picks trial
-# division (square root of the largest value below the distinct count)
-# or a scan over the values.
+# repeats and related pairs in sequences of up to 60 terms.  Divides
+# finds the values each x divides by walking its multiples up to the
+# largest value or by dividing every value by x, whichever is fewer
+# steps, unless trial division up to each root is fewer in all.  Small
+# values mostly walk, but 1 divides every value in fewer steps; huge
+# ones walk no step; enough small values beside a few near 60^2 take
+# trial division.
 LINKED_CASES = {
     "SubsetWordNat": (None, st.lists(st.integers(0, 2), max_size=4).map(tuple)),
     "SubsetWordBit": (None, st.lists(st.integers(0, 1), max_size=5).map(tuple)),
@@ -211,6 +214,7 @@ LINKED_CASES = {
     "Delta-bits": (Tag.WORD_BIT, st.lists(st.integers(0, 1), max_size=3).map(tuple)),
     "Divides-small": (None, st.integers(1, 60)),
     "Divides-huge": (None, st.integers(10**12, 10**12 + 10**6)),
+    "Divides-mixed": (None, st.integers(1, 63).map(lambda k: k if k <= 60 else k + 3538)),
 }
 
 
@@ -254,14 +258,18 @@ def test_ratless_float_ties_match_brute_force(strict, payloads):
     assert patience_chain_length(seq, order) == length
 
 
-# Linear oracles with payloads that give both repeats (dense-rank ties)
-# and long chains in sequences of up to 60 terms.
+# Linear oracles with payloads that give both repeats (equal keys) and
+# long chains in sequences of up to 60 terms, over every kind of sort
+# key: ints (IntLess, dyadic RatLess), ``rational_key`` pairs, bytes
+# (RL up to 255), tuples (LexBit, RL past 255).
 RANKED_CASES = {
     "IntLess-few": st.integers(-3, 3),
     "IntLess-huge": st.integers(-(10**20), 10**20),
     "RatLess": st.fractions(min_value=-1, max_value=1, max_denominator=8),
+    "RatLess-dyadic": st.builds(lambda num, k: Fraction(num, 2**k), st.integers(-8, 8), st.integers(0, 3)),
     "RatLess-float-ties": colliding_rationals,
     "RL": st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    "RL-wide": st.lists(st.sampled_from([0, 1, 255, 256, 300]), max_size=3).map(tuple),
     "LexBit": st.lists(st.integers(0, 1), max_size=5).map(tuple),
 }
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import orderchains
+from orderchains import encodings
 from orderchains.cli import build_parser, main
 
 if sys.version_info >= (3, 11):
@@ -202,6 +203,41 @@ def test_encode_rational_too_large_to_print(capsys):
         "error: rational too large to print: its numerator or denominator has more than "
         f"{sys.get_int_max_str_digits()} decimal digits\n"
     )
+
+
+@pytest.fixture
+def int_digit_limit():
+    "set the interpreter's int -> str digit limit for one test"
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("limit", [4300, 5000])
+def test_encode_rational_refuses_unprintable_words_before_encoding(capsys, monkeypatch, int_digit_limit, limit):
+    "the refusal is read from len + sum at the exact bound, and no word past it is encoded"
+    int_digit_limit(limit)
+    # The image of a word of d binary digits has denominator 2^d.
+    refused = (10**limit).bit_length()
+    code, out, _ = run(capsys, "encode", "--map", "rational", str(refused - 2))
+    assert code == 0 and len(out.split("/")[1]) == limit + 1
+    encode = encodings.word_to_dyadic
+    monkeypatch.setattr(encodings, "word_to_dyadic", lambda word: pytest.fail(f"encoded {word}") if word else encode(word))
+    code, out, err = run(capsys, "encode", "--map", "rational", "e", str(refused - 1))
+    assert (code, out) == (2, "0/1\n")
+    assert err == (
+        "error: rational too large to print: its numerator or denominator has more than "
+        f"{limit} decimal digits\n"
+    )
+
+
+def test_encode_rational_without_a_digit_limit(capsys, int_digit_limit):
+    "a limit of 0 is no limit: only the encoder's own cap refuses"
+    int_digit_limit(0)
+    code, out, _ = run(capsys, "encode", "--map", "rational", "20000")
+    assert code == 0 and out.endswith(f"/{2**20001}\n")
+    code, _, err = run(capsys, "encode", "--map", "rational", "1000000000000")
+    assert code == 2 and err.startswith("error: word_to_dyadic writes at most")
 
 
 def test_fuzz_csv_and_exit(capsys, tmp_path):

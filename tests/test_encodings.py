@@ -161,6 +161,23 @@ def test_word_to_dyadic_refuses_words_past_the_digit_cap():
     assert word_to_dyadic((MAX_DYADIC_DIGITS - 1,)) == Fraction(1, 2**MAX_DYADIC_DIGITS)
 
 
+@pytest.mark.parametrize(
+    "word",
+    [
+        (3, -1),  # once read as the image of (3,)
+        (-1,) * 5,  # once read as 1, outside [0, 1)
+        (-1,) * 10 + (100,),  # a run of -1: once a division by zero
+        (5, -2, -2, -2, 100),  # once a negative shift count
+        (2**40, -(2**40)),  # two digits by len + sum, on the short path
+        (2**19,) + (-1,) * 70,  # a negative run after a long one
+        (2**19, 2**19, -(2**19)),  # a run that needs more digits than len + sum counts
+    ],
+)
+def test_word_to_dyadic_refuses_negative_entries(word):
+    with pytest.raises(DomainMismatchError, match="naturals"):
+        word_to_dyadic(word)
+
+
 def test_format_dyadic_binary():
     assert format_dyadic_binary(Fraction(3, 8)) == "0.011"
     assert format_dyadic_binary(Fraction(0)) == "0."

@@ -1,7 +1,8 @@
 """The fast key paths against the paths they skip: bit-words built
 through bytes, doubled bits read from a table, encoders that walk runs
 of equal entries, exact int keys for dyadic rationals, bytes keys for
-reverse-lex words and bytes prefix links.
+reverse-lex words, bytes prefix links and Divides links found by
+walking multiples.
 
 Each ``check_*`` function reaches the code through its module or class,
 so ``tests/test_mutants.py`` can run the same checks on a patched copy.
@@ -82,6 +83,14 @@ def check_prefix_links(words):
     links = order.lower_links(words)
     swept = order.lower_links([tuple(e + 256 for e in w) for w in words])
     assert list(map(set, links)) == list(map(set, swept)) == list(map(set, brute_nearest_prefixes(words)))
+
+
+def check_divides_links(values):
+    """Divides links list exactly the proper divisors among the values,
+    as sets."""
+    links = orders.DividesOrder().lower_links(values)
+    divisors = [{j for j, y in enumerate(values) if j != k and x % y == 0} for k, x in enumerate(values)]
+    assert list(map(set, links)) == divisors
 
 
 @given(st.lists(st.integers(0, 300), max_size=12).map(tuple))
@@ -201,3 +210,36 @@ def test_prefix_links_on_bytes_match_the_tuple_sweep(words):
 def test_prefix_links_past_255_take_the_tuple_sweep():
     words = [(), (300,), (300, 1), (1,), (1, 300, 2)]
     assert orders.PrefixOrder().lower_links(words) == [(), (0,), (1,), (0,), (3,)]
+
+
+# Values that walk their multiples (within a factor of two of the top),
+# small values, where 1 and 2 divide every value in fewer steps than
+# they walk, small values beside a few near 60^2, where trial division
+# can be fewer steps in all, and huge values, which walk no step.
+divides_values = st.one_of(
+    st.integers(20, 40).flatmap(lambda a: st.lists(st.integers(a, 2 * a), unique=True, min_size=1)),
+    st.lists(st.integers(1, 40), unique=True, min_size=1),
+    st.lists(st.integers(1, 63).map(lambda k: k if k <= 60 else k + 3538), unique=True, min_size=1),
+    st.lists(st.integers(10**12, 10**12 + 10**4), unique=True, min_size=1, max_size=20),
+)
+
+
+@given(divides_values)
+def test_divides_links_are_the_proper_divisors(values):
+    check_divides_links(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [1],
+        list(range(200, 401)),
+        [7, 1, 49, 343, 2401],
+        list(range(1, 101)) + [9_999],
+        [10**9 + k for k in range(50)] + [2 * (10**9 + 3), 3 * (10**9 + 1)],
+    ],
+    ids=["empty", "one", "walk", "scan", "trial", "huge"],
+)
+def test_divides_links_under_each_rule(values):
+    check_divides_links(values)

@@ -29,7 +29,14 @@ from orderchains import chains, encodings, orders
 from orderchains.chains import Sequence
 from orderchains.orders import Tag, make_order
 from orderchains.trees import filler
-from test_keys import check_prefix_links, check_ratless_keys, check_rl_keys, check_word_to_bits, check_word_to_dyadic
+from test_keys import (
+    check_divides_links,
+    check_prefix_links,
+    check_ratless_keys,
+    check_rl_keys,
+    check_word_to_bits,
+    check_word_to_dyadic,
+)
 
 rng = random.Random(2)
 WORDS = [tuple(rng.randrange(4) for _ in range(rng.randrange(5))) for _ in range(40)]
@@ -40,6 +47,8 @@ INTS = [[rng.randrange(6) for _ in range(rng.randrange(1, 9))] for _ in range(30
 # Words long enough for word_to_dyadic to walk their runs.
 RUN_WORDS = [filler(n) for n in (32, 40, 200)] + [(2,) * 22, (0,) * 64 + (3,) * 3, (1, 0) * 22 + (1,) * 5, (300,) * 17]
 PREFIX_WORDS = [[tuple(rng.randrange(2) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(4, 11))] for _ in range(30)]
+# Naturals from a up to 2a, whose multiples Divides finds by walking.
+DIVIDES_RANGES = [rng.sample(range(a, 2 * a + 1), a) for a in range(5, 45, 5)]
 
 
 def mutate(monkeypatch, owner, name, old, new):
@@ -105,14 +114,18 @@ MUTANTS = {
         orders.PrefixOrder, "lower_links", "bytes(v)", "bytes(v[:-1])",
         check_prefix_links, [(list(dict.fromkeys(WORDS[k : k + 8])),) for k in range(0, 40, 8)],
     ),
+    "Divides links walking multiples short of the largest value": (
+        orders.DividesOrder, "lower_links", "range(2 * x, top + 1, x)", "range(2 * x, top, x)",
+        check_divides_links, [(values,) for values in DIVIDES_RANGES],
+    ),
     "ranked pass with the bisect sides swapped": (
         chains, "_suffix_lengths_ranked",
-        "bisect.bisect_left if strict else bisect.bisect_right",
         "bisect.bisect_right if strict else bisect.bisect_left",
+        "bisect.bisect_left if strict else bisect.bisect_right",
         check_chain, INT_CHAINS,
     ),
-    "ranked pass giving every position its own rank": (
-        chains, "_suffix_lengths_ranked", "if key != prev:", "if True:",
+    "ranked pass never lowering its bound on the tails": (
+        chains, "_suffix_lengths_ranked", "lo -= 1", "pass",
         check_chain, INT_CHAINS,
     ),
     "linked push stopped after one link": (
