@@ -239,6 +239,8 @@ class CountableSetStream:
         self._seen: dict[tuple[int, int], int] = {}
 
     def value(self, i: int) -> Fraction:
+        if i < 0:
+            raise ArgumentError(f"stream index {echo(i)} is negative")
         while len(self._cache) <= i:
             j = len(self._cache)
             try:

@@ -8,8 +8,7 @@ preserved and reflected.  All rational arithmetic is exact.
 Both encoders cost O(runs) Python steps plus C-speed copying: they walk
 a word by runs of equal entries and make a run's k copies at C speed,
 so a filler ``1^n 0`` of the reduction, two runs, takes O(1) Python
-steps whatever its length.  ``word_to_dyadic`` shifts entry by entry
-below ``_RUN_DIGITS`` binary digits, where that is cheaper.
+steps whatever its length.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ def word_to_bits(word: Word) -> Word:
 # digits.  The cap bounds the words a caller encodes directly.
 MAX_DYADIC_DIGITS = 1 << 20
 
-# A word of fewer binary digits than this (so of fewer entries) takes
-# word_to_dyadic's shift per entry: one run costs about as many Python
-# steps as three entries, and a filler, 2n - 1 digits, breaks even near
-# n = 16.  Short words such as the CLI's encode tokens keep the loop.
-_RUN_DIGITS = 64
-
-
 _NAT_WORDS_ONLY = "word_to_dyadic is defined on words of naturals"
 
 
@@ -79,22 +71,15 @@ def word_to_dyadic(word: Word) -> Fraction:
     A run of k entries e writes k copies of the block ``0^e 1``, which
     is the repunit ``(2^(k(e+1)) - 1) / (2^(e+1) - 1)`` in base 2^(e+1):
     one division, cheap while the divisor has no more bits than there
-    are copies.  Fewer copies of a wider block take one shift each, as
-    the per-entry loop does.
+    are copies.  Fewer copies than the block is wide take one shift
+    each.
     """
     digits = len(word) + sum(word)
-    num = 0
-    if digits < _RUN_DIGITS:
-        if word and min(word) < 0:
-            raise DomainMismatchError(_NAT_WORDS_ONLY)
-        for entry in word:
-            num = (num << (entry + 1)) | 1
-        return Fraction(num, 1 << digits)
     if digits > MAX_DYADIC_DIGITS:
         raise DomainMismatchError(
             f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
         )
-    written = 0
+    num = written = 0
     for entry, run in groupby(word):
         step = entry + 1
         count = len([*run])
@@ -103,9 +88,7 @@ def word_to_dyadic(word: Word) -> Fraction:
         # a negative entry, which lowers ``digits``, lies ahead.
         if entry < 0 or written > digits:
             raise DomainMismatchError(_NAT_WORDS_ONLY)
-        if count == 1:
-            num = (num << step) | 1
-        elif count < step:
+        if count < step:
             for _ in range(count):
                 num = (num << step) | 1
         else:

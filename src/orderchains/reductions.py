@@ -98,8 +98,9 @@ class TreeGenSpec:
     Offspring counts follow a geometric law with the given mean,
     truncated at ``max_children``; growth stops at the depth cap and the
     node cap (breadth-first, so caps cut the deepest layer first).  A
-    depth cap above ``trees.MAX_BLOCK`` is refused: a deeper node sits in
-    a block the enumeration never ranks, so it changes no image.
+    depth cap or a ``max_children`` above ``trees.MAX_BLOCK`` is refused:
+    a deeper node, or a child labelled ``MAX_BLOCK`` or more, sits in a
+    block the enumeration never ranks, so it changes no image.
     """
 
     seed: int
@@ -113,6 +114,8 @@ class TreeGenSpec:
             raise ArgumentError("caps must be positive")
         if self.depth_cap > MAX_BLOCK:
             raise ArgumentError(f"depth cap {echo(self.depth_cap)} is above {MAX_BLOCK}, the last block the enumeration ranks")
+        if self.max_children > MAX_BLOCK:
+            raise ArgumentError(f"max children {echo(self.max_children)} is above {MAX_BLOCK}, the last block the enumeration ranks")
         if not 0 < self.mean_children:
             raise ArgumentError("mean_children must be positive")
 

@@ -99,7 +99,7 @@ MAX_BLOCK = 4096
 # The longest reduction ``reduce_tree`` writes out, and so the first
 # filler index past it.  Its fillers hold about h**2 / 2 entries for
 # horizon h; at this cap `reduce` takes 1.8 s and peaks near 140 MB on a
-# 2-core machine, and `reduce --target binary` 3.7 s and 410 MB.
+# 2-core machine, and `reduce --target binary` about 2-3 s and 350 MB.
 MAX_HORIZON = 4096
 
 

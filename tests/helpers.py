@@ -3,7 +3,7 @@ shared input strategies."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 
 import hypothesis.strategies as st
 
@@ -190,12 +190,11 @@ def ref_canonical_words(bound):
 
 def ref_word_to_dyadic(word):
     """Per-entry definition: entry a_i writes a_i zeros and then a one,
-    so the i-th one sits at binary place a_0 + ... + a_i + i + 1."""
-    value, place = Fraction(0), 0
-    for entry in word:
-        place += entry + 1
-        value += Fraction(1, 2**place)
-    return value
+    so the i-th one sits at binary place a_0 + ... + a_i + i + 1.  The
+    ones are summed as ints over the last place, in one ``Fraction``."""
+    places = list(accumulate(e + 1 for e in word))
+    top = places[-1] if places else 0
+    return Fraction(sum(1 << (top - p) for p in places), 1 << top)
 
 
 def ref_word_images(n):

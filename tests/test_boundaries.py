@@ -13,6 +13,7 @@ from orderchains.dense import (
     MiddleThirds,
     build_scheme,
     dense_embed,
+    dyadic_stream,
     gap_selector,
     persistently_approaches,
     splitting_depth,
@@ -159,6 +160,7 @@ HUGE_ECHOES = {
     "from_payloads": (DomainMismatchError, lambda: Sequence.from_payloads(Tag.INT, [1, Fraction(1, HUGE)])),
     "stream range": (StreamError, lambda: CountableSetStream([Fraction(HUGE)]).value(0)),
     "stream repeat": (StreamError, lambda: CountableSetStream([Fraction(1, HUGE)] * 2).value(1)),
+    "stream index": (ArgumentError, lambda: CountableSetStream([]).value(-HUGE)),
     "splitting_depth": (DuplicateElementError, lambda: splitting_depth([Fraction(HUGE)] * 2)),
     "FixedStages": (SchemeError, lambda: FixedStages([(HUGE, 0)])),
     "verify_witness": (WitnessIndexError, lambda: verify_witness([HUGE], Sequence.from_payloads(Tag.INT, [1]), IntLessOrder())),
@@ -167,6 +169,7 @@ HUGE_ECHOES = {
     "MiddleThirds.stage": (SchemeError, lambda: MiddleThirds().stage(HUGE)),
     "MiddleThirds.stage negative": (SchemeError, lambda: MiddleThirds().stage(-HUGE)),
     "TreeGenSpec": (ArgumentError, lambda: TreeGenSpec(seed=0, depth_cap=HUGE)),
+    "TreeGenSpec max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=HUGE)),
     "lex_between ends": (DomainMismatchError, lambda: lex_between((HUGE,), (1,))),
     "lex_between order": (ArgumentOrderError, lambda: lex_between((1, HUGE, 1), (1,))),
     "TreePrefixError": (TreePrefixError, lambda: validate_tree([(), (HUGE, 0)])),
@@ -209,6 +212,17 @@ def test_negative_stream_counts_are_refused():
     with pytest.raises(ArgumentError):
         gap_selector(stream, scheme, -1)
     assert stream.prefix(0) == [] and gap_selector(stream, scheme, 0) == ()
+
+
+@pytest.mark.parametrize("drawn", [0, 3])
+@pytest.mark.parametrize("index", [-1, -3, -(2**70)])
+def test_negative_stream_indices_are_refused(drawn, index):
+    "a negative index is refused, not read from the end of the values drawn so far"
+    stream = dyadic_stream()
+    assert stream.prefix(drawn) == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)][:drawn]
+    with pytest.raises(ArgumentError, match="negative"):
+        stream.value(index)
+    assert stream.value(0) == Fraction(1, 2)
 
 
 def test_horizon_cap_refuses_before_any_term():

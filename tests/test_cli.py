@@ -443,6 +443,7 @@ def test_decide_up_literal_input(capsys):
         ("cantor", "--set", "cantor3", "--depth", "0", "--count", "-1"),
         ("reduce", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
         ("fuzz", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
+        ("fuzz", "--max-children", "4097"),
     ],
 )
 def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):

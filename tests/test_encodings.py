@@ -161,18 +161,19 @@ def test_word_to_dyadic_refuses_words_past_the_digit_cap():
     assert word_to_dyadic((MAX_DYADIC_DIGITS - 1,)) == Fraction(1, 2**MAX_DYADIC_DIGITS)
 
 
-@pytest.mark.parametrize(
-    "word",
-    [
-        (3, -1),  # once read as the image of (3,)
-        (-1,) * 5,  # once read as 1, outside [0, 1)
-        (-1,) * 10 + (100,),  # a run of -1: once a division by zero
-        (5, -2, -2, -2, 100),  # once a negative shift count
-        (2**40, -(2**40)),  # two digits by len + sum, on the short path
-        (2**19,) + (-1,) * 70,  # a negative run after a long one
-        (2**19, 2**19, -(2**19)),  # a run that needs more digits than len + sum counts
-    ],
-)
+# Words with a negative entry; ``tests/test_mutants.py`` runs them too.
+NEGATIVE_ENTRY_WORDS = [
+    (3, -1),  # once read as the image of (3,)
+    (-1,) * 5,  # once read as 1, outside [0, 1)
+    (-1,) * 10 + (100,),  # a run of -1: once a division by zero
+    (5, -2, -2, -2, 100),  # once a negative shift count
+    (2**40, -(2**40)),  # two digits by len + sum, far fewer than its first run needs
+    (2**19,) + (-1,) * 70,  # a negative run after a long one
+    (2**19, 2**19, -(2**19)),  # a run that needs more digits than len + sum counts
+]
+
+
+@pytest.mark.parametrize("word", NEGATIVE_ENTRY_WORDS)
 def test_word_to_dyadic_refuses_negative_entries(word):
     with pytest.raises(DomainMismatchError, match="naturals"):
         word_to_dyadic(word)

@@ -108,6 +108,7 @@ def test_double_bits_table_matches_the_per_bit_definition():
 @given(run_words)
 @example(())
 @example(filler(MAX_HORIZON - 1))
+@example((0, 0) + (250,) * 16 + (288,) * 40 + (254,) * 40 + (298,) * 23 + (250,) * 60)
 def test_run_length_encoders_match_the_per_entry_definitions(word):
     check_word_to_bits(word)
     check_word_to_dyadic(word)
@@ -116,13 +117,15 @@ def test_run_length_encoders_match_the_per_entry_definitions(word):
 @pytest.mark.parametrize(
     "word",
     [
-        (0,) * 63,  # one digit short of walking runs
+        (0,) * 63,  # a run of 0 is a repunit of one-bit blocks at any length
         (0,) * 64,
         (20,) * 20,  # one copy fewer than the block is wide: a shift per copy
         (20,) * 21,  # as many copies as bits: one repunit division
         (31,) * 32 + (29,) * 30,  # a two-digit divisor, then a one-digit one
         (5, 5) + (7,) * 15 + (5,) + (0,) * 3,
         (1, 0) * 32,
+        (0,),  # a single 0 is a repunit of one one-bit block
+        (7,),  # a single wider entry takes one shift
     ],
 )
 def test_run_length_encoders_at_the_path_boundaries(word):

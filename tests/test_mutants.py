@@ -27,8 +27,10 @@ import pytest
 from helpers import brute_longest_chain
 from orderchains import chains, encodings, orders
 from orderchains.chains import Sequence
+from orderchains.errors import DomainMismatchError
 from orderchains.orders import Tag, make_order
 from orderchains.trees import filler
+from test_encodings import NEGATIVE_ENTRY_WORDS
 from test_keys import (
     check_divides_links,
     check_prefix_links,
@@ -44,7 +46,8 @@ DYADICS = [Fraction(rng.randrange(-64, 64), 2 ** rng.randrange(8)) for _ in rang
 # Rationals whose floats tie: 1/3 plus small multiples of 2**-60.
 TIED = [Fraction(1, 3) + rng.randrange(-3, 4) * Fraction(1, 2**60) for _ in range(40)]
 INTS = [[rng.randrange(6) for _ in range(rng.randrange(1, 9))] for _ in range(30)]
-# Words long enough for word_to_dyadic to walk their runs.
+# Words of long runs, which word_to_dyadic appends by one repunit
+# division each, beside a few runs it shifts copy by copy.
 RUN_WORDS = [filler(n) for n in (32, 40, 200)] + [(2,) * 22, (0,) * 64 + (3,) * 3, (1, 0) * 22 + (1,) * 5, (300,) * 17]
 PREFIX_WORDS = [[tuple(rng.randrange(2) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(4, 11))] for _ in range(30)]
 # Naturals from a up to 2a, whose multiples Divides finds by walking.
@@ -81,6 +84,18 @@ def check_chain(name, tag, payloads, strict):
     assert (length, witness.indices) == brute_longest_chain(seq, order)
 
 
+def check_refuses_word(word):
+    """``word_to_dyadic`` refuses the word with ``DomainMismatchError``;
+    any other outcome, a value or another exception, fails the check."""
+    try:
+        encodings.word_to_dyadic(word)
+    except DomainMismatchError:
+        return
+    except Exception as exc:
+        raise AssertionError(f"{word!r} escaped as {exc!r}") from exc
+    raise AssertionError(f"{word!r} was encoded")
+
+
 INT_CHAINS = [("IntLess", Tag.INT, p, strict) for p in INTS for strict in (True, False)]
 PREFIX_CHAINS = [("SubsetWordNat", Tag.WORD_NAT, p, strict) for p in PREFIX_WORDS for strict in (True, False)]
 
@@ -101,6 +116,10 @@ MUTANTS = {
     "word_to_dyadic with the repunit divisor off by one": (
         encodings, "word_to_dyadic", "// ((1 << step) - 1)", "// (1 << step)",
         check_word_to_dyadic, [(w,) for w in RUN_WORDS],
+    ),
+    "word_to_dyadic without the negative-entry test": (
+        encodings, "word_to_dyadic", "if entry < 0 or written > digits:", "if written > digits:",
+        check_refuses_word, [(w,) for w in NEGATIVE_ENTRY_WORDS],
     ),
     "RatLess int keys without the shift": (
         orders.RatLessOrder, "sort_keys", "q.numerator << (top - d.bit_length())", "q.numerator",

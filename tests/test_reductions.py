@@ -172,6 +172,13 @@ def test_tree_spec_refuses_depth_past_the_last_block():
         TreeGenSpec(seed=0, depth_cap=MAX_BLOCK + 1)
 
 
+def test_tree_spec_refuses_more_children_than_the_last_block():
+    "a child labelled MAX_BLOCK or more never reaches an image, so such a cap is refused before growth"
+    assert TreeGenSpec(seed=0, max_children=MAX_BLOCK).max_children == MAX_BLOCK
+    with pytest.raises(ArgumentError, match=f"^max children {MAX_BLOCK + 1} is above {MAX_BLOCK}, "):
+        TreeGenSpec(seed=0, max_children=MAX_BLOCK + 1)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_generated_trees_are_prefix_closed(seed):
