@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
 from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError
+from .limits import MAX_DYADIC_DIGITS
 from .orders import Tag
 from .words import format_bit_word, parse_nat_word, quote_token
 
@@ -141,7 +142,7 @@ def _check_dyadic_printable(digits: int) -> None:
     cap keeps the encoder's error.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and 3 * limit < digits <= encodings.MAX_DYADIC_DIGITS and 1 << digits >= 10**limit:
+    if limit and 3 * limit < digits <= MAX_DYADIC_DIGITS and 1 << digits >= 10**limit:
         raise orders.too_large_to_print()
 
 

@@ -49,20 +49,12 @@ from .errors import (
     echo,
     read_container,
 )
+from .limits import MAX_DEPTH, MAX_RESOLUTION, MAX_STREAM_VALUES
 from .orders import Element, Order, Tag, make_element, rational_key, validate_payloads
 from .trees import iter_words
 from .words import Word, format_bit_word
 
 Interval = tuple[Fraction, Fraction]
-
-# A scheme of depth d splits a stage of at least 2**(d + 1) components
-# and keeps 2**(d + 1) - 1 closed intervals and 2**d - 1 gaps.  At depth
-# 16 that is about 131 000 of each, and `cantor --depth 16` peaks near
-# 200 MB; every level deeper doubles that, so deeper schemes are refused
-# before any stage is built.
-MAX_DEPTH = 16
-# The finest stage ``build_scheme`` tries when ``resolution`` is unset.
-MAX_RESOLUTION = 64
 
 
 def _identity(q: Fraction) -> tuple[int, int]:
@@ -166,8 +158,7 @@ def build_scheme(oracle, depth: int, resolution: int | None = None) -> IntervalS
     available gap raises, naming the bit-word where the construction got
     stuck.  A negative resolution, and depths above ``MAX_DEPTH``, raise
     before any stage is built: such depths need a stage of more than
-    2**(MAX_DEPTH + 1) components and as many intervals, more than fits
-    in memory.
+    2**(MAX_DEPTH + 1) components and as many intervals.
 
     Stage gap j lies between components j and j + 1.  C_sigma spans
     components first..stop, so its word carries the gaps range(first,
@@ -230,7 +221,10 @@ class CountableSetStream:
     """Injective enumeration of rationals in [0, 1], drawn in order from
     an iterable as indices are asked for.  A value that is not a
     ``Fraction`` is read by ``orders.make_element``; one it refuses, one
-    outside [0, 1] and a repeat raise ``StreamError``."""
+    outside [0, 1] and a repeat raise ``StreamError``.  An index or a
+    prefix length that is negative, or that would draw more than
+    ``MAX_STREAM_VALUES`` values, raises ``ArgumentError`` before any
+    draw."""
 
     def __init__(self, values: Iterable, name: str = "stream"):
         self._values = read_container(values, "stream values", iter)
@@ -241,6 +235,8 @@ class CountableSetStream:
     def value(self, i: int) -> Fraction:
         if i < 0:
             raise ArgumentError(f"stream index {echo(i)} is negative")
+        if i >= MAX_STREAM_VALUES:
+            raise ArgumentError(f"stream index {echo(i)} is past the cap of {MAX_STREAM_VALUES} values")
         while len(self._cache) <= i:
             j = len(self._cache)
             try:
@@ -264,6 +260,8 @@ class CountableSetStream:
     def prefix(self, n: int) -> list[Fraction]:
         if n < 0:
             raise ArgumentError(f"stream prefix length {echo(n)} is negative")
+        if n > MAX_STREAM_VALUES:
+            raise ArgumentError(f"stream prefix length {echo(n)} is above the cap of {MAX_STREAM_VALUES}")
         return [self.value(i) for i in range(n)]
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import ArgumentOrderError, DomainMismatchError, echo
+from .limits import MAX_DYADIC_DIGITS
 from .words import Word, is_prefix
 
 
@@ -46,12 +47,6 @@ def word_to_bits(word: Word) -> Word:
     # A tuple built from bytes is allocated once at its final size.
     return tuple(b"".join([(bytes(double_bits(e)) + b"\x00\x01") * len([*run]) for e, run in groupby(word)]))
 
-
-# The most binary digits word_to_dyadic writes: 2^20, a 128 KiB
-# denominator.  A reduction image needs far fewer: its longest filler,
-# below trees.MAX_HORIZON ones and a zero, takes under 2 * MAX_HORIZON
-# digits.  The cap bounds the words a caller encodes directly.
-MAX_DYADIC_DIGITS = 1 << 20
 
 _NAT_WORDS_ONLY = "word_to_dyadic is defined on words of naturals"
 

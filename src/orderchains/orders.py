@@ -27,6 +27,7 @@ from itertools import chain
 from math import inf, isqrt
 
 from .errors import ArgumentError, DomainMismatchError, ParseError, echo, read_container
+from .limits import _INT_KEY_BITS, MAX_AXIOM_SUPPORT, MAX_AXIOM_VIOLATIONS
 from .words import (
     format_bit_word,
     format_nat_word,
@@ -419,12 +420,6 @@ def rational_key(q: Fraction) -> tuple[float, Fraction]:
     return (f, q)
 
 
-# The most bits RatLessOrder.sort_keys adds to its int keys, summed over
-# the payloads (4 MiB).  The longest reduction image, 4 096 dyadics with
-# denominators up to 2^8191, just fits.
-_INT_KEY_BITS = 1 << 25
-
-
 class RatLessOrder(LinearOrder):
     """The usual order on the rationals."""
 
@@ -582,20 +577,6 @@ class AxiomReport:
 
 
 KNOWN_AXIOMS = ("reflexivity", "antisymmetry", "transitivity", "totality")
-
-
-# The largest support check_axioms takes: it keeps the n x n verdicts of
-# n^2 ``_compare`` calls, and at this size takes 0.6-1.2 s on a 2-core
-# machine under IntLess, RatLess or RL.
-MAX_AXIOM_SUPPORT = 900
-
-# The most transitivity violations check_axioms reports.  Each takes
-# about 160 bytes (an ``AxiomViolation`` and its witness tuple), so a
-# report at the cap holds about 42 MB, and the row masks that count them
-# at most as much again.  A non-transitive oracle can have about n^3 of
-# them, some 10^8 at MAX_AXIOM_SUPPORT; each other axiom has at most
-# n^2 / 2.
-MAX_AXIOM_VIOLATIONS = 1 << 18
 
 
 def _set_bits(x: int) -> list[int]:

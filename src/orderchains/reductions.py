@@ -14,13 +14,15 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Callable
 
 from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
 from .errors import ArgumentError, DomainMismatchError, ParseError, echo
+from .limits import MAX_BLOCK, MAX_HORIZON, MAX_NODES
 from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
-from .trees import MAX_BLOCK, MAX_HORIZON, FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
+from .trees import FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,11 @@ class TreeGenSpec:
     Offspring counts follow a geometric law with the given mean,
     truncated at ``max_children``; growth stops at the depth cap and the
     node cap (breadth-first, so caps cut the deepest layer first).  A
-    depth cap or a ``max_children`` above ``trees.MAX_BLOCK`` is refused:
-    a deeper node, or a child labelled ``MAX_BLOCK`` or more, sits in a
-    block the enumeration never ranks, so it changes no image.
+    depth cap or a ``max_children`` above ``MAX_BLOCK`` is refused: a
+    deeper node, or a child labelled ``MAX_BLOCK`` or more, sits in a
+    block the enumeration never ranks, so it changes no image.  So are a
+    node cap above ``MAX_NODES``, a negative ``max_children`` and a mean
+    that is not a positive finite number, all before any growth.
     """
 
     seed: int
@@ -118,6 +122,12 @@ class TreeGenSpec:
             raise ArgumentError(f"max children {echo(self.max_children)} is above {MAX_BLOCK}, the last block the enumeration ranks")
         if not 0 < self.mean_children:
             raise ArgumentError("mean_children must be positive")
+        if self.node_cap > MAX_NODES:
+            raise ArgumentError(f"node cap {echo(self.node_cap)} is above the cap of {MAX_NODES}")
+        if self.max_children < 0:
+            raise ArgumentError(f"max children {echo(self.max_children)} is negative")
+        if self.mean_children == inf:
+            raise ArgumentError("mean_children must be finite")
 
 
 def generate_tree(spec: TreeGenSpec) -> FiniteTree:

@@ -22,6 +22,7 @@ from itertools import count, product
 from typing import Iterable, Iterator
 
 from .errors import ArgumentError, ParseError, TreePrefixError, echo
+from .limits import MAX_BLOCK, MAX_HORIZON
 from .orders import Tag, validate_payloads
 from .words import Word, parse_nat_word
 
@@ -90,17 +91,6 @@ def filler(n: int) -> Word:
 
 
 # --- canonical enumeration -------------------------------------------------
-
-# The last block index_of and word_at take: a word of block 4096 ranks or
-# unranks in about a second on a 2-core machine and its index has about
-# 49 000 bits, and each later block costs more.
-MAX_BLOCK = 4096
-
-# The longest reduction ``reduce_tree`` writes out, and so the first
-# filler index past it.  Its fillers hold about h**2 / 2 entries for
-# horizon h; at this cap `reduce` takes 1.8 s and peaks near 140 MB on a
-# 2-core machine, and `reduce --target binary` about 2-3 s and 350 MB.
-MAX_HORIZON = 4096
 
 
 def block_of(word: Word) -> int:

@@ -8,13 +8,11 @@ digit string for bit-words ("0110"), and "e" for the empty word.
 from __future__ import annotations
 
 from .errors import ParseError
+from .limits import ECHO_LIMIT
 
 Word = tuple[int, ...]
 
 EMPTY_TOKEN = "e"
-
-# Error messages quote at most this many characters of a token.
-ECHO_LIMIT = 40
 
 
 def quote_token(text: str) -> str:

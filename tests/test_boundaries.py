@@ -32,6 +32,7 @@ from orderchains.errors import (
     WitnessIndexError,
     echo,
 )
+from orderchains.limits import MAX_STREAM_VALUES
 from orderchains.orders import (
     Element,
     IntLessOrder,
@@ -161,6 +162,8 @@ HUGE_ECHOES = {
     "stream range": (StreamError, lambda: CountableSetStream([Fraction(HUGE)]).value(0)),
     "stream repeat": (StreamError, lambda: CountableSetStream([Fraction(1, HUGE)] * 2).value(1)),
     "stream index": (ArgumentError, lambda: CountableSetStream([]).value(-HUGE)),
+    "stream index cap": (ArgumentError, lambda: dyadic_stream().value(HUGE)),
+    "stream prefix cap": (ArgumentError, lambda: dyadic_stream().prefix(HUGE)),
     "splitting_depth": (DuplicateElementError, lambda: splitting_depth([Fraction(HUGE)] * 2)),
     "FixedStages": (SchemeError, lambda: FixedStages([(HUGE, 0)])),
     "verify_witness": (WitnessIndexError, lambda: verify_witness([HUGE], Sequence.from_payloads(Tag.INT, [1]), IntLessOrder())),
@@ -170,6 +173,8 @@ HUGE_ECHOES = {
     "MiddleThirds.stage negative": (SchemeError, lambda: MiddleThirds().stage(-HUGE)),
     "TreeGenSpec": (ArgumentError, lambda: TreeGenSpec(seed=0, depth_cap=HUGE)),
     "TreeGenSpec max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=HUGE)),
+    "TreeGenSpec negative max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=-HUGE)),
+    "TreeGenSpec node_cap": (ArgumentError, lambda: TreeGenSpec(seed=0, node_cap=HUGE)),
     "lex_between ends": (DomainMismatchError, lambda: lex_between((HUGE,), (1,))),
     "lex_between order": (ArgumentOrderError, lambda: lex_between((1, HUGE, 1), (1,))),
     "TreePrefixError": (TreePrefixError, lambda: validate_tree([(), (HUGE, 0)])),
@@ -223,6 +228,27 @@ def test_negative_stream_indices_are_refused(drawn, index):
     with pytest.raises(ArgumentError, match="negative"):
         stream.value(index)
     assert stream.value(0) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("past", [MAX_STREAM_VALUES, 2**70])
+def test_stream_index_past_the_cap_is_refused_before_any_draw(past):
+    "an index or a length past the cap would draw for ever from an endless stream"
+    s = dyadic_stream()
+    with pytest.raises(ArgumentError, match=f"stream index {past} is past the cap of {MAX_STREAM_VALUES} values"):
+        s.value(past)
+    with pytest.raises(ArgumentError, match=f"stream prefix length {past + 1} is above the cap of {MAX_STREAM_VALUES}"):
+        s.prefix(past + 1)
+    assert s._cache == []
+
+
+def test_stream_prefix_at_the_cap_is_drawn_in_full(monkeypatch):
+    "the cap refuses only past it: the last index and a prefix of exactly the cap still draw"
+    monkeypatch.setattr("orderchains.dense.MAX_STREAM_VALUES", 8)
+    stream = dyadic_stream()
+    assert stream.value(7) == Fraction(1, 16)
+    assert len(stream.prefix(8)) == 8
+    with pytest.raises(ArgumentError):
+        stream.value(8)
 
 
 def test_horizon_cap_refuses_before_any_term():

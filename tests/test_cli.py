@@ -444,6 +444,10 @@ def test_decide_up_literal_input(capsys):
         ("reduce", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
         ("fuzz", "--horizon", str(orderchains.trees.MAX_HORIZON + 1)),
         ("fuzz", "--max-children", "4097"),
+        ("fuzz", "--max-children", "-5"),
+        ("fuzz", "--mean-children", "inf"),
+        ("fuzz", "--node-cap", str(orderchains.limits.MAX_NODES + 1)),
+        ("fuzz", "--node-cap", "100000000", "--mean-children", "50", "--max-children", "50", "--depth-cap", "30"),
     ],
 )
 def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):

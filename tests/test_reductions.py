@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from orderchains.chains import Sequence, longest_chain
 from orderchains.errors import ArgumentError, DomainMismatchError, ParseError
+from orderchains.limits import MAX_NODES
 from orderchains.orders import Element, Order, Tag, make_order
 from orderchains import reductions
 from orderchains.reductions import (
@@ -177,6 +178,34 @@ def test_tree_spec_refuses_more_children_than_the_last_block():
     assert TreeGenSpec(seed=0, max_children=MAX_BLOCK).max_children == MAX_BLOCK
     with pytest.raises(ArgumentError, match=f"^max children {MAX_BLOCK + 1} is above {MAX_BLOCK}, "):
         TreeGenSpec(seed=0, max_children=MAX_BLOCK + 1)
+
+
+def test_tree_spec_refuses_a_node_cap_past_the_cap():
+    "a node cap past MAX_NODES is refused at construction, before any tree grows"
+    assert TreeGenSpec(seed=0, node_cap=MAX_NODES).node_cap == MAX_NODES
+    for cap in (MAX_NODES + 1, 10**8):
+        with pytest.raises(ArgumentError, match=f"^node cap {cap} is above the cap of {MAX_NODES}$"):
+            TreeGenSpec(seed=0, node_cap=cap)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_children", -1, "^max children -1 is negative$"),
+        ("max_children", -5, "^max children -5 is negative$"),
+        ("mean_children", float("inf"), "^mean_children must be finite$"),
+    ],
+)
+def test_tree_spec_refuses_a_negative_width_and_an_infinite_mean(field, value, message):
+    "either would silently grow the root alone: no draw makes a child"
+    with pytest.raises(ArgumentError, match=message):
+        TreeGenSpec(seed=0, **{field: value})
+
+
+def test_tree_spec_keeps_the_edges_it_accepts():
+    "no children at all, and a mean too large to matter, still grow"
+    assert len(generate_tree(TreeGenSpec(seed=0, max_children=0))) == 1
+    assert len(generate_tree(TreeGenSpec(seed=0, mean_children=1e308, node_cap=50))) == 50
 
 
 @given(st.integers(0, 10_000))
