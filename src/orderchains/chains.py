@@ -58,6 +58,7 @@ from .orders import (
     Element,
     Order,
     Tag,
+    check_domain,
     format_element,
     format_payload,
     parse_payload,
@@ -69,23 +70,22 @@ class Sequence:
     """A finite sequence of payloads sharing one domain tag.
 
     ``Sequence(tag, elements)`` takes ``Element`` objects and raises
-    ``DomainMismatchError`` on one of another tag or on anything that is
-    not an ``Element``; ``from_payloads``
-    takes raw payloads.  Two sequences are equal exactly when their tags
-    and payloads are.
+    ``DomainMismatchError`` on a tag that is not a ``Tag``, on an element
+    of another tag and on anything that is not an ``Element``;
+    ``from_payloads`` takes raw payloads.  Two sequences are equal
+    exactly when their tags and payloads are.
     """
 
     __slots__ = ("_tag", "_payloads", "_items")
 
     def __init__(self, tag: Tag, items):
+        check_domain(tag)
         items = read_container(items, "sequence elements")
         for el in items:
             if not isinstance(el, Element):
-                raise DomainMismatchError(f"sequence tagged {tag.value} takes elements, got {echo(el, repr)}")
+                raise DomainMismatchError(f"sequence tagged {echo(tag)} takes elements, got {echo(el, repr)}")
             if el.tag is not tag:
-                raise DomainMismatchError(
-                    f"sequence tagged {tag.value} contains a {el.tag.value} element"
-                )
+                raise DomainMismatchError(f"sequence tagged {echo(tag)} contains a {echo(el.tag)} element")
         self._tag = tag
         self._payloads = tuple(el.value for el in items)
         self._items = items

@@ -13,10 +13,10 @@ import sys
 from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
-from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError
+from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError, echo
 from .limits import MAX_DYADIC_DIGITS
 from .orders import Tag
-from .words import format_bit_word, parse_nat_word, quote_token
+from .words import format_bit_word, parse_nat_word
 
 _TAG_CHOICES = {t.value: t for t in Tag}
 
@@ -63,17 +63,13 @@ def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
         # The message repeats the bad token whole.
         reason = str(exc)
         for token in tokens:
-            reason = reason.replace(repr(token), quote_token(token))
+            reason = reason.replace(repr(token), echo(token, repr))
         raise ParseError(reason) from exc
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:
     # parse_payload returns valid payloads only.
     return chains.Sequence._trusted(tag, tuple(_read_tokens(path, orders.parse_payload, tag)))
-
-
-def _read_tree(path: str, mode: str) -> trees.FiniteTree:
-    return trees.validate_tree(_read_located(path, parse_nat_word), mode=mode)
 
 
 def _read_rationals(path: str) -> list[Fraction]:
@@ -93,7 +89,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    tree = _read_tree(args.tree, args.mode)
+    tree = trees.validate_tree(_read_located(args.tree, parse_nat_word), mode=args.mode)
     pipeline = reductions.make_pipeline(args.target)
     image = pipeline.apply(reductions.reduce_tree(tree, args.horizon))
     lines = [orders.format_payload(image.tag, p) for p in image.payloads()]
@@ -119,7 +115,7 @@ def cmd_encode(args) -> int:
                     raise ValueError(token)
                 n = int(token)  # raises past the interpreter's digit limit too
             except ValueError as exc:
-                raise ParseError(f"bad natural token {quote_token(token)}") from exc
+                raise ParseError(f"bad natural token {echo(token, repr)}") from exc
             print(format_bit_word(encodings.double_bits(n)))
             continue
         word = parse_nat_word(token)
@@ -190,7 +186,7 @@ def cmd_cantor(args) -> int:
     if args.extract and not args.stream:
         raise ParseError("--extract needs --stream FILE")
     if args.count is not None and args.count < 0:
-        raise ArgumentError(f"--count must be non-negative, got {args.count}")
+        raise ArgumentError(f"--count must be non-negative, got {echo(args.count)}")
     if args.set == "cantor3":
         oracle = dense.MiddleThirds()
     else:

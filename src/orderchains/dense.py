@@ -402,7 +402,7 @@ def dense_embed(
     placed_keys: list = []
     placed_vals: list[Fraction] = []
     for el in elems:
-        order.check_tag(el.tag)
+        order.check_element(el)
         if el in images:
             raise DuplicateElementError(f"duplicate source element {echo(el)}")
         key = order.sort_key(el)

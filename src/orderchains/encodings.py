@@ -5,10 +5,10 @@ order is preserved and reflected; ``word_to_dyadic`` embeds nat-words
 into dyadic rationals so that the reverse-entry lexicographic order is
 preserved and reflected.  All rational arithmetic is exact.
 
-Both encoders cost O(runs) Python steps plus C-speed copying: they walk
-a word by runs of equal entries and make a run's k copies at C speed,
-so a filler ``1^n 0`` of the reduction, two runs, takes O(1) Python
-steps whatever its length.
+Both encoders take O(runs) Python steps, walking a word by runs of
+equal entries, so a filler ``1^n 0`` of the reduction takes O(1) of
+them at any n; the C work of ``word_to_dyadic`` grows as runs times
+digits, since each run shifts the whole numerator built so far.
 """
 
 from __future__ import annotations

@@ -1,20 +1,26 @@
-"""Typed errors shared across the package; ``echo``, which writes a
-caller's value into an error message; and ``read_container``, which
-reads a caller's container."""
+"""Typed errors shared across the package; ``echo``, the one code that
+writes a caller's value into an error message, cut at ``ECHO_LIMIT``
+characters; and ``read_container``, which reads a caller's container."""
+
+from .limits import ECHO_LIMIT
 
 
 def echo(value, form=str) -> str:
-    """``form(value)``, ``str`` or ``repr``, for an error message.
-
-    On this package's values the one ``ValueError`` either raises is the
-    interpreter's digit limit on int -> str (``format_element`` re-raises
-    it as ``ArgumentError``); a short stand-in then takes the value's
-    place, so the message never raises in place of the error it reports.
-    """
-    try:
-        return form(value)
-    except ValueError:
-        return f"<{type(value).__name__} too large to print>"
+    """``form(value)``, ``str`` or ``repr``, for an error message: past
+    ``ECHO_LIMIT`` characters cut with the full length marked (a ``str``
+    before it is rendered, so its quote stays whole), and a stand-in for
+    an int past the interpreter's digit limit, the one ``ValueError``
+    either form raises on this package's values, so that the message
+    never raises in place of the error it reports."""
+    if isinstance(value, str):
+        size, text = len(value), form(value[:ECHO_LIMIT])
+    else:
+        try:
+            text = form(value)
+        except ValueError:
+            return f"<{type(value).__name__} too large to print>"
+        size, text = len(text), text[:ECHO_LIMIT]
+    return text if size <= ECHO_LIMIT else f"{text}... ({size} characters)"
 
 
 def read_container(values, what: str, read=tuple):

@@ -22,4 +22,4 @@ MAX_DEPTH = 16  # deepest interval scheme build_scheme builds, on a stage of 2^1
 MAX_RESOLUTION = 64  # finest stage build_scheme looks for when no resolution is given; 65 `components` calls before the refusal, 0.06 s, 16 MB (212514b)
 MAX_DYADIC_DIGITS = 1 << 20  # binary digits word_to_dyadic writes, a 128 KiB denominator; one run 0.1 s, 31 MB; 699 050 runs alternating 0 and 1 9.8 s, 21 MB (212514b)
 MAX_STREAM_VALUES = 1 << 20  # values a CountableSetStream draws; dyadic_stream().prefix(2^20) 2.4-2.8 s, 291 MB; gap midpoints 3.0 s, 353 MB; word images 6.3 s, 301 MB (212514b)
-ECHO_LIMIT = 40  # characters of a token an error message quotes, past which it marks the cut and gives the length; the quote of a 10^6-character token is 66 characters (212514b)
+ECHO_LIMIT = 40  # characters of any caller value an error message quotes, past which it marks the cut and gives the length; Element(Tag.NAT, (1,)*10**5) refused in 0.02 s, 18 MB, with a 99-character message, 300 036 uncut; a 10^6-character token quotes in 66 (ebd9035 with the cut)

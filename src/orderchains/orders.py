@@ -34,7 +34,6 @@ from .words import (
     is_prefix,
     parse_bit_word,
     parse_nat_word,
-    quote_token,
 )
 
 
@@ -123,20 +122,25 @@ def validate_payloads(tag: Tag, payloads) -> tuple:
     error on the first bad payload.  A container that cannot be read
     raises ``DomainMismatchError`` too.
     """
-    values = read_container(payloads, f"{tag} payloads")
+    values = read_container(payloads, f"{echo(tag)} payloads")
     if _valid_payloads(tag, values):
         return values
     return tuple(make_element(tag, p).value for p in values)
 
 
+def check_domain(tag) -> None:
+    """Raise ``DomainMismatchError`` unless ``tag`` is a ``Tag``."""
+    _valid_payloads(tag, ())
+
+
 def _valid_payloads(tag: Tag, values: tuple) -> bool:
     """Whether every payload is valid for ``tag`` as it is: one set test
     for exact native types, ``isinstance`` for subclasses (never bool).
-    An object that is not a ``Tag`` has no rules."""
-    rules = _DOMAINS.get(tag)
-    if rules is None:
-        return True
-    word, kind, lo, hi, _ = rules
+    A tag that is not a ``Tag`` raises ``DomainMismatchError``."""
+    try:
+        word, kind, lo, hi, _ = _DOMAINS[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise DomainMismatchError(f"{echo(tag, repr)} is not a domain tag") from None
     if word:
         if not (set(map(type, values)) <= {tuple} or all(isinstance(v, tuple) for v in values)):
             return False
@@ -155,7 +159,7 @@ def parse_payload(text: str, tag: Tag):
         if tag is _NAT:
             value = int(text)
             if value < 1:
-                raise ParseError(f"naturals here exclude zero, got {quote_token(text)}")
+                raise ParseError(f"naturals here exclude zero, got {echo(text, repr)}")
             return value
         if tag is _INT:
             return int(text)
@@ -168,10 +172,10 @@ def parse_payload(text: str, tag: Tag):
     except ParseError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        quoted = quote_token(text)
-        # ``Fraction``'s own message repeats the whole token.
-        reason = str(exc).replace(repr(text), quoted)
-        raise ParseError(f"bad {tag.value} token {quoted}: {reason}") from exc
+        quoted = echo(text, repr)
+        # ``Fraction``'s message repeats the whole token, ``int``'s its repr cut at 200.
+        reason = str(exc).replace(repr(text), quoted).replace(repr(text)[:200], quoted[:200])
+        raise ParseError(f"bad {echo(tag)} token {quoted}: {reason}") from exc
     raise ParseError(f"unknown tag {echo(tag, repr)}")
 
 
@@ -200,7 +204,7 @@ def parse_rational(text: str) -> Fraction:
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent and limit and abs(int(exponent[1])) > limit:
-        raise ValueError(f"exponent of {text!r} is above {limit} in magnitude")
+        raise ValueError(f"exponent of {echo(text, repr)} is above {limit} in magnitude")
     return Fraction(text)
 
 
@@ -272,9 +276,13 @@ class Order:
     def check_tag(self, tag: Tag) -> None:
         """Raise DomainMismatchError unless ``tag`` is this oracle's domain."""
         if tag is not self.domain:
-            raise DomainMismatchError(
-                f"{self.name} compares {self.domain.value} elements, got {tag.value}"
-            )
+            raise DomainMismatchError(f"{self.name} compares {echo(self.domain)} elements, got {echo(tag)}")
+
+    def check_element(self, el) -> None:
+        """Raise DomainMismatchError unless ``el`` is an element of this oracle's domain."""
+        if not isinstance(el, Element):
+            raise DomainMismatchError(f"{self.name} compares elements, got {echo(el, repr)}")
+        self.check_tag(el.tag)
 
     def sort_key(self, el: Element):
         """Order-embedding key into Python comparisons (linear oracles only)."""
@@ -389,6 +397,7 @@ class DeltaOrder(Order):
     name = "Delta"
 
     def __init__(self, strict: bool = True, domain: Tag = Tag.INT):
+        check_domain(domain)
         super().__init__(strict=strict, domain=domain)
 
     def _compare(self, x, y):
@@ -544,7 +553,7 @@ def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
     """
     build = _ORDERS_BY_KEY.get(name.lower())
     if build is None:
-        raise ParseError(f"unknown order {quote_token(name)}; choose one of {', '.join(ORDER_NAMES)}")
+        raise ParseError(f"unknown order {echo(name, repr)}; choose one of {', '.join(ORDER_NAMES)}")
     return build(strict, tag)
 
 
@@ -605,9 +614,9 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
         axioms = tuple(axioms)
         for ax in axioms:
             if ax not in KNOWN_AXIOMS:
-                raise ParseError(f"unknown axiom {quote_token(ax)}; known: {', '.join(KNOWN_AXIOMS)}")
+                raise ParseError(f"unknown axiom {echo(ax, repr)}; known: {', '.join(KNOWN_AXIOMS)}")
     for el in elems:
-        order.check_tag(el.tag)
+        order.check_element(el)
     values = [el.value for el in elems]
     compare = order._compare
     cmp_matrix = [[compare(x, y) for y in values] for x in values]

@@ -45,9 +45,7 @@ POINTWISE_MAPS = {
 def lift_map(x: Sequence, pmap: PointwiseMap) -> Sequence:
     """Apply a pointwise map to every term of a sequence."""
     if x.tag is not pmap.domain:
-        raise DomainMismatchError(
-            f"map {pmap.name} lifts {pmap.domain.value} sequences, got {x.tag.value}"
-        )
+        raise DomainMismatchError(f"map {echo(pmap.name)} lifts {echo(pmap.domain)} sequences, got {echo(x.tag)}")
     # Each map sends a valid payload of its domain to a valid payload of
     # its codomain, so the image needs no second check.
     return Sequence._trusted(pmap.codomain, tuple(map(pmap.fn, x.payloads())))

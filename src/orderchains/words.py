@@ -2,26 +2,17 @@
 
 Words are plain tuples of non-negative ints.  The textual form is
 dot-separated entries for words over the naturals ("2.0.7"), a plain
-digit string for bit-words ("0110"), and "e" for the empty word.
+digit string for bit-words ("0110"), and "e" for the empty word.  A
+parse error quotes the bad token through ``errors.echo``.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .limits import ECHO_LIMIT
+from .errors import ParseError, echo
 
 Word = tuple[int, ...]
 
 EMPTY_TOKEN = "e"
-
-
-def quote_token(text: str) -> str:
-    """``repr(text)`` for an error message, cut after ``ECHO_LIMIT``
-    characters with the cut and the full length marked, so one huge token
-    cannot make a huge message."""
-    if len(text) <= ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_nat_word(text: str) -> Word:
@@ -39,7 +30,7 @@ def parse_nat_word(text: str) -> Word:
                 continue
         except ValueError:  # more digits than int() reads
             pass
-        raise ParseError(f"bad word entry {quote_token(part)} in token {quote_token(text)}")
+        raise ParseError(f"bad word entry {echo(part, repr)} in token {echo(text, repr)}")
     return tuple(entries)
 
 
@@ -55,7 +46,7 @@ def parse_bit_word(text: str) -> Word:
     if text == EMPTY_TOKEN:
         return ()
     if not text or any(ch not in "01" for ch in text):
-        raise ParseError(f"bad bit-word token {quote_token(text)}")
+        raise ParseError(f"bad bit-word token {echo(text, repr)}")
     return tuple(int(ch) for ch in text)
 
 

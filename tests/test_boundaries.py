@@ -32,7 +32,7 @@ from orderchains.errors import (
     WitnessIndexError,
     echo,
 )
-from orderchains.limits import MAX_STREAM_VALUES
+from orderchains.limits import ECHO_LIMIT, MAX_STREAM_VALUES
 from orderchains.orders import (
     Element,
     IntLessOrder,
@@ -44,7 +44,7 @@ from orderchains.orders import (
     parse_payload,
     validate_payloads,
 )
-from orderchains.reductions import TreeGenSpec, make_pipeline, reduce_tree
+from orderchains.reductions import PointwiseMap, TreeGenSpec, lift_map, make_pipeline, reduce_tree
 from orderchains.trees import MAX_HORIZON, filler, validate_tree
 
 # Past the interpreter's digit limit for int -> str (4 300 by default),
@@ -122,6 +122,41 @@ def test_witness_index_true_reads_as_one():
 def test_sequence_of_non_elements_raises_domain_mismatch():
     with pytest.raises(DomainMismatchError, match="takes elements, got 1"):
         Sequence(Tag.INT, [1, 2])
+
+
+# A tag that is not a ``Tag`` has no domain rules, so every intake that
+# takes one refuses it, hashable or not.
+NOT_A_TAG = {
+    "Element": lambda: Element("nat", -5),
+    "Element unhashable": lambda: Element([], 5),
+    "make_element": lambda: make_element("int", 1),
+    "from_payloads": lambda: Sequence.from_payloads("nat", [-1, "x", None]),
+    "validate_payloads": lambda: validate_payloads(None, []),
+    "Sequence": lambda: Sequence("nat", []),
+    "Sequence of elements": lambda: Sequence("int", [Element(Tag.INT, 1)]),
+    "Delta": lambda: make_order("Delta", tag="x"),
+    "Delta unhashable": lambda: make_order("Delta", tag=[]),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_A_TAG))
+def test_a_tag_that_is_not_a_tag_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError):
+        NOT_A_TAG[intake]()
+
+
+# Items that are not an ``Element`` where elements are taken.
+NOT_AN_ELEMENT = {
+    "check_axioms str": lambda: check_axioms(IntLessOrder(), "x"),
+    "check_axioms ints": lambda: check_axioms(IntLessOrder(), [1, 2]),
+    "dense_embed": lambda: dense_embed("x", IntLessOrder(), dyadic_stream()),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_AN_ELEMENT))
+def test_an_item_that_is_not_an_element_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError, match="IntLess compares elements, got"):
+        NOT_AN_ELEMENT[intake]()
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), 2, True, 0.5, Decimal("0.25"), "1/3", " 2/4 ", "-0.5", "1.5e-3"])
@@ -204,9 +239,111 @@ def test_echoing_a_huge_value_keeps_the_typed_error(entry):
     assert "too large to print" in str(exc.value) and len(str(exc.value)) < 200
 
 
-@pytest.mark.parametrize("value, form", [(12, str), (Fraction(-3, 4), str), ((1, 0), repr), ("a", repr), (Tag.INT, repr)])
+@pytest.mark.parametrize(
+    "value, form",
+    [(12, str), (Fraction(-3, 4), str), ((1, 0), repr), ("a", repr), (Tag.INT, repr), (Tag.INT, str),
+     ("x" * ECHO_LIMIT, repr), ("\x00" * ECHO_LIMIT, repr), (10 ** (ECHO_LIMIT - 1), str)],
+)
 def test_echo_renders_printable_values_as_given(value, form):
+    "a value of at most ECHO_LIMIT characters is rendered whole"
     assert echo(value, form) == form(value)
+
+
+def test_echo_cuts_a_long_value_and_gives_its_length():
+    "past ECHO_LIMIT characters: the first ones, then the full length"
+    assert echo(10**ECHO_LIMIT) == "1" + "0" * (ECHO_LIMIT - 1) + f"... ({ECHO_LIMIT + 1} characters)"
+    assert echo((1,) * 10**5, repr) == "(" + "1, " * 13 + "... (300000 characters)"
+    # A str is cut before it is rendered, so its quote stays whole.
+    assert echo("y" * 10**6, repr) == repr("y" * ECHO_LIMIT) + "... (1000000 characters)"
+    assert len(echo("y" * 10**6, repr)) == 66
+    assert echo("y" * 10**6) == "y" * ECHO_LIMIT + "... (1000000 characters)"
+
+
+# Long enough to swamp a message, short enough to print: 10^5
+# characters of str and of tuple repr, and an int of 4 001 digits.
+LONG = 10**4000
+LONG_TEXT = "y" * 10**5
+LONG_WORD = (1,) * 10**5
+
+
+def _long_sequence():
+    return Sequence.from_payloads(Tag.INT, [1, 2])
+
+
+# Entry points whose error message echoes a caller's value, driven with
+# a value that prints at length.
+LONG_ECHOES = {
+    "Element": (DomainMismatchError, lambda: Element(Tag.NAT, LONG_WORD)),
+    "Element tag": (DomainMismatchError, lambda: Element(LONG_TEXT, 1)),
+    "make_element": (DomainMismatchError, lambda: make_element(Tag.NAT, -LONG)),
+    "from_payloads": (DomainMismatchError, lambda: Sequence.from_payloads(Tag.INT, [1, LONG_TEXT])),
+    "Sequence": (DomainMismatchError, lambda: Sequence(Tag.INT, [LONG_WORD])),
+    "check_axioms element": (DomainMismatchError, lambda: check_axioms(IntLessOrder(), [LONG_WORD])),
+    "check_axioms axiom": (ParseError, lambda: check_axioms(IntLessOrder(), [], axioms=[LONG_TEXT])),
+    "make_order": (ParseError, lambda: make_order(LONG_TEXT)),
+    "parse_payload nat": (ParseError, lambda: parse_payload("0" * 4000, Tag.NAT)),
+    "parse_payload int": (ParseError, lambda: parse_payload(LONG_TEXT, Tag.INT)),
+    "parse_payload rational": (ParseError, lambda: parse_payload("1/" + LONG_TEXT, Tag.RATIONAL)),
+    "parse_payload exponent": (ParseError, lambda: parse_payload("1" * 10**5 + "e99999", Tag.RATIONAL)),
+    "parse_payload word": (ParseError, lambda: parse_payload("1." + LONG_TEXT, Tag.WORD_NAT)),
+    "parse_payload bits": (ParseError, lambda: parse_payload(LONG_TEXT, Tag.WORD_BIT)),
+    "parse_payload tag": (ParseError, lambda: parse_payload("1", LONG_TEXT)),
+    "longest_chain method": (ParseError, lambda: longest_chain(_long_sequence(), IntLessOrder(), method=LONG_TEXT)),
+    "verify_witness type": (WitnessIndexError, lambda: verify_witness([LONG_TEXT], _long_sequence(), IntLessOrder())),
+    "verify_witness range": (WitnessIndexError, lambda: verify_witness([LONG], _long_sequence(), IntLessOrder())),
+    "lift_map": (DomainMismatchError, lambda: lift_map(_long_sequence(), PointwiseMap(LONG_TEXT, Tag.NAT, Tag.NAT, abs))),
+    "make_pipeline": (ParseError, lambda: make_pipeline("p" * 10**5)),
+    "reduce_tree horizon": (ArgumentError, lambda: reduce_tree(validate_tree([()]), LONG)),
+    "TreeGenSpec depth_cap": (ArgumentError, lambda: TreeGenSpec(seed=0, depth_cap=LONG)),
+    "TreeGenSpec max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=LONG)),
+    "TreeGenSpec negative max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=-LONG)),
+    "TreeGenSpec node_cap": (ArgumentError, lambda: TreeGenSpec(seed=0, node_cap=LONG)),
+    "validate_tree mode": (ParseError, lambda: validate_tree([()], mode=LONG_TEXT)),
+    "TreePrefixError": (TreePrefixError, lambda: validate_tree([(), LONG_WORD])),
+    "filler": (ArgumentError, lambda: filler(LONG)),
+    "lex_between ends": (DomainMismatchError, lambda: lex_between((0,) * 10**5, (1,))),
+    "lex_between order": (ArgumentOrderError, lambda: lex_between(LONG_WORD, (1,))),
+    "format_dyadic_binary": (DomainMismatchError, lambda: format_dyadic_binary(Fraction(1, 3 * LONG))),
+    "stream range": (StreamError, lambda: CountableSetStream([Fraction(LONG)]).value(0)),
+    "stream repeat": (StreamError, lambda: CountableSetStream([Fraction(1, LONG)] * 2).value(1)),
+    "stream index": (ArgumentError, lambda: CountableSetStream([]).value(-LONG)),
+    "stream index cap": (ArgumentError, lambda: dyadic_stream().value(LONG)),
+    "stream prefix": (ArgumentError, lambda: dyadic_stream().prefix(-LONG)),
+    "stream prefix cap": (ArgumentError, lambda: dyadic_stream().prefix(LONG)),
+    "splitting_depth": (DuplicateElementError, lambda: splitting_depth([Fraction(1, LONG)] * 2)),
+    "FixedStages": (SchemeError, lambda: FixedStages([(LONG, 0)])),
+    "build_scheme depth": (SchemeError, lambda: build_scheme(MiddleThirds(), LONG)),
+    "build_scheme resolution": (SchemeError, lambda: build_scheme(MiddleThirds(), 1, resolution=LONG)),
+    "MiddleThirds.stage": (SchemeError, lambda: MiddleThirds().stage(LONG)),
+    "MiddleThirds.stage negative": (SchemeError, lambda: MiddleThirds().stage(-LONG)),
+    "dense_embed repeat": (
+        DuplicateElementError,
+        lambda: dense_embed(_rationals(LONG, LONG), RatLessOrder(), CountableSetStream([Fraction(1, 2)])),
+    ),
+    "dense_embed budget": (
+        SearchBudgetError,
+        lambda: dense_embed(_rationals(LONG), RatLessOrder(), CountableSetStream([]), budget=0),
+    ),
+}
+
+
+def check_short_error(error, call):
+    """``call`` raises exactly ``error``, with a message under 200
+    characters that marks where it cut the value it quotes."""
+    try:
+        call()
+    except error as exc:
+        assert type(exc) is error
+        message = str(exc)
+        assert len(message) < 200, f"{len(message)}-character message: {message[:80]!r}..."
+        assert " characters)" in message
+        return
+    raise AssertionError(f"no {error.__name__}")
+
+
+@pytest.mark.parametrize("entry", sorted(LONG_ECHOES))
+def test_echoing_a_long_value_keeps_the_message_short(entry):
+    check_short_error(*LONG_ECHOES[entry])
 
 
 def test_negative_stream_counts_are_refused():

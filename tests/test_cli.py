@@ -534,6 +534,14 @@ def test_help_matches_a_fresh_parser(capsys):
         assert _help_text(capsys, main, argv) == _help_text(capsys, build_parser().parse_args, argv)
 
 
+# Tokens of 10^4+ characters, one bad and one a valid word, and numbers
+# of 4 000+ digits, which argparse still reads as ints (the interpreter's
+# digit limit is 4 300): each error that quotes one must cut it.
+LONG_TOKEN = "2" * 10**4 + "x"
+LONG_WORD = ".".join(["1"] * 5000)
+LONG_NUMBERS = st.sampled_from(["9" * 4000, "-" + "9" * 4000, "1" + "0" * 4299])
+
+
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
@@ -545,6 +553,7 @@ def tiny_files(tmp_path_factory):
         "tree": b"e\n1\n1.1\n",
         "stages": b"0 1/9\n2/9 1/3\n2/3 7/9\n8/9 1\n",
         "bad": b"1 x\n",
+        "long": f"1 {LONG_TOKEN}\n".encode(),
         "utf16": b"\xff\xfe",
     }
     for name, text in texts.items():
@@ -567,14 +576,14 @@ def _argv(draw, files):
     kind = draw(st.sampled_from(
         ["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "fuzz", "reduce", "usage"]
     ))
-    orders = ["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Delta", "Bogus"]
+    orders = ["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Delta", "Bogus", "o" * 10**4]
     order = ["--order", draw(st.sampled_from(orders))]
     reading = draw(st.sampled_from([[], ["--strict"], ["--non-strict"]]))
     order += reading + _optional(draw, "--tag", st.sampled_from(["int", "nat", "word", "rational"]))
     if kind == "analyze":
         return [kind, _any_file(draw, files)] + order
     if kind == "check-axioms":
-        axioms = st.sampled_from(["transitivity", "totality,reflexivity", "antisymmetry", "density"])
+        axioms = st.sampled_from(["transitivity", "totality,reflexivity", "antisymmetry", "density", "a" * 10**4])
         return [kind, _any_file(draw, files)] + order + _optional(draw, "--axioms", axioms)
     if kind == "classify":
         return [kind, _any_file(draw, files)]
@@ -584,33 +593,33 @@ def _argv(draw, files):
             [], ["--extract", "P", "--stream", files["rats"]], ["--extract", "Y", "--stream", files["dup"]], ["--extract", "Y"]
         ]))
         return (
-            [kind, "--depth", str(draw(st.integers(0, 3)))]
+            [kind, "--depth", str(draw(st.integers(0, 3) | LONG_NUMBERS))]
             + stages
-            + _optional(draw, "--resolution", st.integers(-3, 3))
+            + _optional(draw, "--resolution", st.integers(-3, 3) | LONG_NUMBERS)
             + extract
-            + _optional(draw, "--count", st.integers(-1, 6))
+            + _optional(draw, "--count", st.integers(-1, 6) | LONG_NUMBERS)
         )
     if kind == "encode":
-        tokens = draw(st.lists(st.sampled_from(["e", "0", "1.2", "3", "x", "²"]), min_size=1, max_size=3))
+        tokens = draw(st.lists(st.sampled_from(["e", "0", "1.2", "3", "x", "²", LONG_TOKEN, LONG_WORD]), min_size=1, max_size=3))
         return [kind, "--map", draw(st.sampled_from(["binary", "rational", "double"]))] + tokens
     if kind == "decide-up":
-        return [kind, draw(st.sampled_from(["2 | 2 4 8", "1 | 3 2", "|", "x | 1"]))] + order
+        return [kind, draw(st.sampled_from(["2 | 2 4 8", "1 | 3 2", "|", "x | 1", f"{LONG_TOKEN} | 1", f"1 | {LONG_WORD}"]))] + order
     if kind == "fuzz":
         return [
             kind,
             "--pipeline", draw(st.sampled_from(["subset", "rational", "binary", "rl"])),
             "--trials", str(draw(st.integers(0, 2))),
             "--seed", str(draw(st.integers(0, 3))),
-            "--horizon", str(draw(st.integers(0, 8) | st.just(orderchains.trees.MAX_HORIZON + 1))),
-            "--node-cap", str(draw(st.integers(0, 6))),
-            "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]))),
+            "--horizon", str(draw(st.integers(0, 8) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS)),
+            "--node-cap", str(draw(st.integers(0, 6) | LONG_NUMBERS)),
+            "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]) | LONG_NUMBERS)),
             "--mean-children", draw(st.sampled_from(["0", "1.2", "4"])),
-            "--max-children", str(draw(st.integers(0, 3))),
+            "--max-children", str(draw(st.integers(0, 3) | LONG_NUMBERS)),
         ]
     if kind == "reduce":
         target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
         mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
-        horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1))
+        horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS)
         return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode
     return draw(st.sampled_from([[], ["analyze"], ["nosuch"], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]))
 
@@ -625,17 +634,58 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _without_flags(argv, flags):
+    "argv with each of ``flags`` and the value after it dropped"
+    kept = list(argv)
+    for flag in flags:
+        if flag in kept:
+            at = kept.index(flag)
+            del kept[at : at + 2]
+    return kept
+
+
+def _check_printed_before_failing(argv, out, err):
+    """On exit 2, stdout holds only lines the command printed before it
+    failed: one line per ``encode`` token read before the bad one,
+    ``cantor``'s scheme before its extraction, and the rows of
+    ``classify``'s table before the repeat."""
+    if not out:
+        return
+    kind = argv[0]
+    if kind == "encode":
+        done = out.count("\n")
+        assert _outcome(argv[: 3 + done]) == (0, out, "")
+        assert _outcome(argv[: 4 + done]) == (2, out, err)
+    elif kind == "cantor":
+        assert _outcome(_without_flags(argv, ["--extract", "--stream", "--count"])) == (0, out, "")
+    elif kind == "classify":
+        header, *rows = out.splitlines()
+        assert header == "n depth"
+        for row in rows:
+            n, depth = map(int, row.split())
+            assert depth == orderchains.dense.distinct_splitting_depth(n)
+    else:
+        pytest.fail(f"{kind} printed {out[:80]!r} before exit 2")
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_call_order_does_not_change_any_outcome(tiny_files, data):
-    "a run of command lines gives each the same exit, stdout and stderr in either order"
+    """a run of command lines gives each the same exit, stdout and stderr
+    in either order; on exit 2 every ``error:`` line is short, and stdout
+    holds only what was printed before the failure"""
+    root = os.path.dirname(tiny_files["ints"])
     argvs = data.draw(st.lists(_argv(tiny_files), min_size=2, max_size=6))
     forward = [_outcome(argv) for argv in argvs]
     backward = [_outcome(argv) for argv in reversed(argvs)][::-1]
     assert forward == backward
-    for code, _, err in forward:
+    for argv, (code, out, err) in zip(argvs, forward):
         assert code in (0, 1, 2)
         assert code != 2 or "error:" in err
+        for line in err.splitlines():
+            assert not line.startswith("error:") or len(line.replace(root, "")) < 300, line[:80]
+        if code == 2:
+            _check_printed_before_failing(argv, out, err)
 
 
 def _script_target_argv():

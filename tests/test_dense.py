@@ -496,10 +496,10 @@ def test_rational_key_at_float_overflow_and_underflow():
     "values, message",
     [
         ([F(1, 2), F(1, 3), F(3, 2)], "xs[2] = 3/2 outside [0, 1]"),
-        ([F(1, 3), -F(1, 10**400)], f"xs[1] = -1/{10**400} outside [0, 1]"),
+        ([F(1, 3), -F(1, 10**400)], f"xs[1] = -1/1{'0' * 36}... (404 characters) outside [0, 1]"),
         ([F(1, 2), F(1, 3), F(2, 4)], "xs repeats 1/2 at 0 and 2"),
         ([1, F(0), F(1)], "xs repeats 1 at 0 and 2"),
-        ([F(1, 10**400), F(0), F(2, 2 * 10**400)], f"xs repeats 1/{10**400} at 0 and 2"),
+        ([F(1, 10**400), F(0), F(2, 2 * 10**400)], f"xs repeats 1/1{'0' * 37}... (403 characters) at 0 and 2"),
     ],
 )
 def test_stream_error_messages(values, message):

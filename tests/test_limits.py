@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orderchains import dense, encodings, limits, orders, reductions, trees, words
+from orderchains import dense, encodings, errors, limits, orders, reductions, trees
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CAPS = {name: value for name, value in vars(limits).items() if not name.startswith("__") and type(value) is int}
@@ -43,7 +43,7 @@ def test_limits_imports_nothing():
         (reductions, ["MAX_BLOCK", "MAX_HORIZON", "MAX_NODES"]),
         (dense, ["MAX_DEPTH", "MAX_RESOLUTION", "MAX_STREAM_VALUES"]),
         (encodings, ["MAX_DYADIC_DIGITS"]),
-        (words, ["ECHO_LIMIT"]),
+        (errors, ["ECHO_LIMIT"]),
     ],
 )
 def test_modules_check_the_table_caps(module, names):

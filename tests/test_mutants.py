@@ -13,7 +13,8 @@ To guard a new fast path, write its differential check so that it
 reaches the code through its module or class (as ``tests/test_keys.py``
 does), then add a test here: the owner and name of the function, the
 text to replace and its replacement, and a fixed sample the check runs
-on.
+on.  A function that other package modules import by name, such as
+``errors.echo``, is patched in each of them too.
 """
 
 import inspect
@@ -25,11 +26,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import brute_longest_chain
-from orderchains import chains, encodings, orders
+from orderchains import chains, encodings, errors, orders
 from orderchains.chains import Sequence
 from orderchains.errors import DomainMismatchError
 from orderchains.orders import Tag, make_order
 from orderchains.trees import filler
+from test_boundaries import LONG_ECHOES, check_short_error
 from test_encodings import NEGATIVE_ENTRY_WORDS
 from test_keys import (
     check_divides_links,
@@ -55,7 +57,8 @@ DIVIDES_RANGES = [rng.sample(range(a, 2 * a + 1), a) for a in range(5, 45, 5)]
 
 
 def mutate(monkeypatch, owner, name, old, new):
-    """Patch ``owner.name`` with its source edited from ``old`` to ``new``."""
+    """Patch ``owner.name`` with its source edited from ``old`` to ``new``,
+    and so each package module that imported the same function by name."""
     fn = vars(owner)[name]
     source = textwrap.dedent(inspect.getsource(fn))
     if source.count(old) != 1:
@@ -63,6 +66,9 @@ def mutate(monkeypatch, owner, name, old, new):
     namespace = dict(vars(sys.modules[fn.__module__]))
     exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
     monkeypatch.setattr(owner, name, namespace[name])
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("orderchains.") and vars(module).get(name) is fn:
+            monkeypatch.setattr(module, name, namespace[name])
 
 
 def rejected(check, sample):
@@ -154,6 +160,10 @@ MUTANTS = {
     "witness rebuild without the relation test": (
         chains, "longest_chain", "starts[i] == need and (prev < 0 or rel(prev, i))", "starts[i] == need",
         check_chain, INT_CHAINS + PREFIX_CHAINS,
+    ),
+    "echo without its cut": (
+        errors, "echo", "size, text = len(text), text[:ECHO_LIMIT]", "size, text = len(text), text",
+        check_short_error, [LONG_ECHOES[entry] for entry in sorted(LONG_ECHOES)],
     ),
     "float-only rational key": (
         orders, "rational_key", "return (f, q)", "return (f,)",

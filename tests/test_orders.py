@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from helpers import brute_axiom_violations, colliding_rationals
 from orderchains.chains import Sequence
-from orderchains.errors import ArgumentError, DomainMismatchError, ParseError
+from orderchains.errors import ArgumentError, DomainMismatchError, ParseError, echo
 from orderchains.orders import (
     EQ,
     GT,
@@ -31,7 +31,6 @@ from orderchains.orders import (
     parse_payload,
     validate_payloads,
 )
-from orderchains.words import quote_token
 
 nat_words = st.lists(st.integers(0, 5), max_size=5).map(tuple)
 bit_words = st.lists(st.integers(0, 1), max_size=6).map(tuple)
@@ -510,7 +509,7 @@ def _fraction_reading(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        quoted = quote_token(text)
+        quoted = echo(text, repr)
         return f"bad rational token {quoted}: {str(exc).replace(repr(text), quoted)}"
 
 
@@ -564,4 +563,4 @@ def test_long_token_errors_stay_short():
     message = str(err.value)
     assert len(message) < 200
     assert f"({len(text)} characters)" in message
-    assert quote_token("1/x") == "'1/x'"
+    assert echo("1/x", repr) == "'1/x'"
