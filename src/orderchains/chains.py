@@ -23,9 +23,12 @@ the index that finds the best later start:
   bytes that order as the payloads do) gives every start, O(n log n)
   key comparisons and no sort.
 * ``linked``: oracles whose ``lower_links`` lists the values below each
-  value (the prefix orders, Divides, Delta).  Each new start is pushed
-  down the links into the best start above every lower value, O(n +
-  v log v) plus the pushes, which are bounded by n times the link depth.
+  value (the prefix orders, Divides, Delta).  It works over the distinct
+  ``link_keys``, one key per payload that ties as the payloads do
+  (bytes for prefix words with entries up to 255).  Each new start is
+  pushed down the links into the best start above every lower value,
+  O(n + v log v) plus the pushes, which are bounded by n times the link
+  depth.
 * ``generic``: the plain O(n^2) scan over positions.  It is the fallback
   for an ``Order`` subclass that has neither, and the reference that
   ``method="generic"`` forces.
@@ -195,7 +198,7 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
         links = None
         if method == "auto":
-            ids, distinct = _value_ids(payloads)
+            ids, distinct = _value_ids(order.link_keys(payloads))
             links = order.lower_links(distinct)
         if links is None:
             starts = _suffix_lengths_generic(payloads, related)
@@ -221,13 +224,13 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     return best, ChainWitness(tuple(indices), values)
 
 
-def _value_ids(payloads):
-    """Map each position to a dense id over the distinct payloads, and
-    list those payloads in order of first occurrence."""
-    # One hash per value: a tuple does not cache its hash, and bit-word
+def _value_ids(keys):
+    """Map each position to a dense id over the distinct keys, and list
+    those keys in order of first occurrence."""
+    # One hash per key: a tuple does not cache its hash, and bit-word
     # images run to hundreds of entries.
     seen: dict[object, int] = {}
-    ids = [seen.setdefault(value, len(seen)) for value in payloads]
+    ids = [seen.setdefault(key, len(seen)) for key in keys]
     return ids, list(seen)
 
 

@@ -143,6 +143,13 @@ def _check_dyadic_printable(digits: int) -> None:
 
 
 def cmd_fuzz(args) -> int:
+    # str refuses an int past the interpreter's digit limit, and the CSV
+    # prints every trial seed, the widest at the first or the last trial.
+    for trial in {0, args.trials - 1} if args.trials > 0 else ():
+        try:
+            str(reductions._trial_seed(args.seed, trial))
+        except ValueError:
+            raise ArgumentError(f"--seed {echo(args.seed)} gives trial seeds too long to print") from None
     pipeline = reductions.make_pipeline(args.pipeline)
     gen = reductions.TreeGenSpec(
         seed=args.seed,
@@ -244,8 +251,30 @@ def _add_order_flags(sub):
     sub.add_argument("--tag", choices=sorted(_TAG_CHOICES), help="domain tag (Delta only)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a bad value quoted through ``echo``, where argparse
+    quotes it whole: an unrecognized argument, and a value of the wrong
+    type or not among the choices."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(map(echo, extras)))
+        return args
+
+    def _get_values(self, action, arg_strings):
+        # Once per flag, not per value: encode takes thousands of tokens.
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for value in arg_strings:
+                message = message.replace(repr(value), echo(value, repr))
+            raise argparse.ArgumentError(action, message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orderchains",
         description="chain detection, tree reductions, order encodings, density diagnostics",
     )

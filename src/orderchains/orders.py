@@ -12,7 +12,8 @@ and compares in C: exact ints for dyadic rationals, bytes for
 reverse-lex words.  A partial oracle may instead list the values below
 each value through ``lower_links``, which the linked chain index
 follows: nearest prefixes for the prefix orders, proper divisors for
-Divides.
+Divides.  It lists them over ``link_keys``, which may likewise trade
+each payload for a key that ties the same: bytes for prefix words.
 """
 
 from __future__ import annotations
@@ -257,8 +258,8 @@ class Order:
 
     def compare(self, a: Element, b: Element) -> Cmp:
         """Four-valued comparison; LT always means strictly below."""
-        self.check_tag(a.tag)
-        self.check_tag(b.tag)
+        self.check_element(a)
+        self.check_element(b)
         return self._compare(a.value, b.value)
 
     def related(self, a: Element, b: Element) -> bool:
@@ -288,13 +289,18 @@ class Order:
         """Order-embedding key into Python comparisons (linear oracles only)."""
         raise NotImplementedError(f"{self.name} has no sort key")
 
+    def link_keys(self, payloads):
+        """Keys that tie exactly as the payloads do, for ``lower_links``;
+        by default the payloads themselves."""
+        return payloads
+
     def lower_links(self, values) -> list[tuple[int, ...]] | None:
         """Links from each value down to values strictly below it, or None.
 
-        ``values`` is a list of distinct payloads of this oracle's
-        domain.  The result ``links`` has one tuple per value:
-        ``links[k]`` holds indices j with ``values[j]`` strictly below
-        ``values[k]`` (``_compare`` gives LT), and following links
+        ``values`` is a list of distinct ``link_keys`` of payloads of
+        this oracle's domain.  The result ``links`` has one tuple per value:
+        ``links[k]`` holds indices j whose payload is strictly below that
+        of ``values[k]`` (``_compare`` gives LT), and following links
         transitively from k reaches every value strictly below
         ``values[k]``.  The links encode LT alone, so one list serves
         both readings.  The base class returns None: an oracle that
@@ -470,24 +476,33 @@ class PrefixOrder(Order):
             return GT
         return INCOMPARABLE
 
-    def lower_links(self, values):
-        """The nearest proper prefix of each value among ``values``.
+    def link_keys(self, payloads):
+        """Each word as ``bytes`` when every entry is at most 255: they
+        tie, order and extend as the tuples do, compare in C and cache
+        their hash.  The words themselves otherwise."""
+        try:
+            return list(map(bytes, payloads))
+        except ValueError:
+            return payloads
 
-        Tuple order puts a word just before the contiguous run of its
+    def lower_links(self, keys):
+        """The nearest proper prefix of each of the distinct ``link_keys``.
+
+        Sorted order puts a word just before the contiguous run of its
         extensions, so one sweep in that order with a stack of the open
         prefixes finds each value's nearest prefix on top of the stack.
-        Words with entries up to 255 sort and test as ``bytes``, which
-        order as the tuples do and compare in C.
+        ``bytes`` keys test a prefix by ``bytes.startswith``, tuple words
+        by ``is_prefix``.
         """
-        try:
-            keys = [bytes(v) for v in values]
-        except ValueError:
-            keys = values
+        if keys and type(keys[0]) is bytes:
+            extends = bytes.startswith
+        else:
+            extends = lambda word, prefix: is_prefix(prefix, word)
         links: list[tuple[int, ...]] = [()] * len(keys)
         open_prefixes: list[int] = []
         for k in sorted(range(len(keys)), key=keys.__getitem__):
             word = keys[k]
-            while open_prefixes and not is_prefix(keys[open_prefixes[-1]], word):
+            while open_prefixes and not extends(word, keys[open_prefixes[-1]]):
                 open_prefixes.pop()
             if open_prefixes:
                 links[k] = (open_prefixes[-1],)

@@ -63,7 +63,7 @@ def reduce_tree(tree: FiniteTree, horizon: int) -> Sequence:
     # Enumerated words and fillers are nat-words by construction.
     return Sequence._trusted(
         Tag.WORD_NAT,
-        tuple(w if w in nodes else filler(n) for n, w in zip(range(horizon), iter_words())),
+        tuple([w if w in nodes else filler(n) for n, w in zip(range(horizon), iter_words())]),
     )
 
 

@@ -75,6 +75,10 @@ def max_branch_depth(tree: FiniteTree) -> int:
     return max(map(len, tree.nodes), default=0)
 
 
+# Every filler is a tail of the longest, so each one is one slice.
+_FILLERS = (1,) * MAX_HORIZON + (0,)
+
+
 def filler(n: int) -> Word:
     """The n-th filler word: n ones followed by a zero.
 
@@ -87,7 +91,7 @@ def filler(n: int) -> Word:
         raise ArgumentError("filler index must be non-negative")
     if n >= MAX_HORIZON:
         raise ArgumentError(f"filler index {echo(n)} is past the horizon cap of {MAX_HORIZON}")
-    return (1,) * n + (0,)
+    return _FILLERS[MAX_HORIZON - n :]
 
 
 # --- canonical enumeration -------------------------------------------------

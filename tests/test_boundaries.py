@@ -150,6 +150,10 @@ NOT_AN_ELEMENT = {
     "check_axioms str": lambda: check_axioms(IntLessOrder(), "x"),
     "check_axioms ints": lambda: check_axioms(IntLessOrder(), [1, 2]),
     "dense_embed": lambda: dense_embed("x", IntLessOrder(), dyadic_stream()),
+    "compare ints": lambda: IntLessOrder().compare(1, 2),
+    "compare element and int": lambda: IntLessOrder().compare(Element(Tag.INT, 1), 2),
+    "related ints": lambda: IntLessOrder().related(1, 2),
+    "related int and element": lambda: IntLessOrder().related(None, Element(Tag.INT, 2)),
 }
 
 

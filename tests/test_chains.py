@@ -26,7 +26,7 @@ from orderchains.errors import (
     ParseError,
     WitnessIndexError,
 )
-from orderchains.orders import DividesOrder, Element, Order, Tag, make_element, make_order
+from orderchains.orders import DividesOrder, Element, Order, PrefixOrder, Tag, make_element, make_order
 from orderchains.reductions import TreeGenSpec, generate_tree, make_pipeline, reduce_tree
 
 int_less = make_order("IntLess")
@@ -244,6 +244,60 @@ def test_linked_index_deep_prefix_chain():
 def test_base_order_has_no_lower_links():
     "an oracle outside the package falls back to the generic scan"
     assert Order().lower_links([1, 2, 3]) is None
+
+
+# Entries up to 255, which key a word as bytes, beside entries past it,
+# which key the whole sequence as tuples.
+mixed_words = st.lists(st.sampled_from([0, 1, 255, 256, 300]), max_size=3).map(tuple)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@given(payloads=st.lists(mixed_words, min_size=1, max_size=9))
+@settings(max_examples=60)
+def test_linked_index_over_keys_matches_brute_force(strict, payloads):
+    "bytes or tuple link keys give the exhaustive and the generic length and witness"
+    order = make_order("SubsetWordNat", strict=strict)
+    seq = Sequence.from_payloads(Tag.WORD_NAT, payloads)
+    want = brute_longest_chain(seq, order)
+    for method in ["generic", "auto"]:
+        length, witness = longest_chain(seq, order, method=method)
+        assert (length, witness.indices) == want, method
+
+
+@pytest.mark.parametrize("name", ["subset", "binary"])
+def test_linked_index_on_reduction_images(name):
+    "on 12 seeded reductions the linked index gives the generic length and witness, and at horizon 12 the exhaustive ones"
+    pipeline = make_pipeline(name)
+    for seed in range(12):
+        tree = generate_tree(TreeGenSpec(seed=seed))
+        for horizon in (12, 200):
+            image = pipeline.apply(reduce_tree(tree, horizon))
+            length, witness = longest_chain(image, pipeline.order)
+            want_len, want_wit = longest_chain(image, pipeline.order, method="generic")
+            assert (length, witness.indices) == (want_len, want_wit.indices)
+        small = pipeline.apply(reduce_tree(tree, 12))
+        length, witness = longest_chain(small, pipeline.order)
+        assert (length, witness.indices) == brute_longest_chain(small, pipeline.order)
+
+
+def test_linked_index_keys_each_payload_once(monkeypatch):
+    "one link_keys call per search, and lower_links gets bytes when every entry is at most 255"
+    calls, handed = [], []
+    link_keys, lower_links = PrefixOrder.link_keys, PrefixOrder.lower_links
+    monkeypatch.setattr(PrefixOrder, "link_keys", lambda self, p: calls.append(p) or link_keys(self, p))
+    monkeypatch.setattr(PrefixOrder, "lower_links", lambda self, keys: handed.append(keys) or lower_links(self, keys))
+    binary = make_pipeline("binary")
+    cases = [
+        (binary.order, binary.apply(reduce_tree(generate_tree(TreeGenSpec(seed=0)), 200)), bytes),
+        (make_order("SubsetWordNat"), Sequence.from_payloads(Tag.WORD_NAT, [(0,), (0, 255), (1,)]), bytes),
+        (make_order("SubsetWordNat"), Sequence.from_payloads(Tag.WORD_NAT, [(0,), (0, 256), (1,)]), tuple),
+    ]
+    for order, seq, key_type in cases:
+        calls.clear()
+        handed.clear()
+        longest_chain(seq, order)
+        assert len(calls) == len(handed) == 1
+        assert {type(key) for key in handed[0]} == {key_type}
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])

@@ -240,6 +240,25 @@ def test_encode_rational_without_a_digit_limit(capsys, int_digit_limit):
     assert code == 2 and err.startswith("error: word_to_dyadic writes at most")
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("digits", [4294, 4300])
+def test_fuzz_refuses_a_seed_whose_trial_seeds_cannot_print(capsys, int_digit_limit, sign, digits):
+    "the trial seed S * 1 000 003 + t of a seed S past 4 293 digits cannot print: refused before the CSV header"
+    int_digit_limit(4300)
+    code, out, err = run(capsys, "fuzz", "--trials", "1", "--node-cap", "1", "--seed", sign + "9" * digits)
+    assert (code, out) == (2, "")
+    head = (sign + "9" * 40)[:40]
+    assert err == f"error: --seed {head}... ({len(sign) + digits} characters) gives trial seeds too long to print\n"
+
+
+def test_fuzz_prints_the_widest_printable_seed(capsys, int_digit_limit):
+    int_digit_limit(4300)
+    seed = 10**4293 - 1
+    code, out, _ = run(capsys, "fuzz", "--trials", "2", "--node-cap", "1", "--seed", str(seed))
+    assert code == 0
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == [str(seed * 1_000_003), str(seed * 1_000_003 + 1)]
+
+
 def test_fuzz_csv_and_exit(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
     code, out, err = run(
@@ -517,6 +536,53 @@ def test_usage_error_leaves_the_parser_as_it_was(capsys, seq_file):
     assert run(capsys, "analyze", seq_file, "--order", "IntLess") == alone
 
 
+def _usage_error(capsys, argv):
+    "the last stderr line of an argparse usage error, which exits 2 and prints nothing on stdout"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err.splitlines()[-1]
+
+
+TAGS = "'bits', 'int', 'nat', 'rational', 'word'"
+COMMANDS = "'analyze', 'reduce', 'encode', 'fuzz', 'classify', 'cantor', 'decide-up', 'check-axioms'"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("reduce", "t", "--horizon", "12x"), "orderchains reduce: error: argument --horizon: invalid int value: '12x'"),
+        (("fuzz", "--mean-children", "1.x"), "orderchains fuzz: error: argument --mean-children: invalid float value: '1.x'"),
+        (
+            ("analyze", "t", "--order", "IntLess", "--tag", "t" * 40),
+            f"orderchains analyze: error: argument --tag: invalid choice: '{'t' * 40}' (choose from {TAGS})",
+        ),
+        (("nosuch",), f"orderchains: error: argument command: invalid choice: 'nosuch' (choose from {COMMANDS})"),
+        (("encode", "--map", "binary", "1", "--x=" + "y" * 36), "orderchains: error: unrecognized arguments: --x=" + "y" * 36),
+    ],
+)
+def test_usage_errors_quote_a_short_value_whole(capsys, argv, line):
+    "a value of at most ECHO_LIMIT characters reads as argparse writes it"
+    assert _usage_error(capsys, argv) == line
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("reduce", "t", "--horizon", "7" * 5000), 5000),
+        (("fuzz", "--seed", "7" * 5000), 5000),
+        (("fuzz", "--mean-children", "7" * 5000 + "x"), 5001),
+        (("analyze", "t", "--order", "IntLess", "--tag", "t" * 10**4), 10**4),
+        (("n" * 10**4,), 10**4),
+        (("encode", "--map", "binary", "1", "--x=" + "y" * 10**4), 10**4 + 4),
+    ],
+)
+def test_usage_errors_cut_a_long_value(capsys, argv, size):
+    line = _usage_error(capsys, argv)
+    assert len(line) < 300 and f"... ({size} characters)" in line
+
+
 def _help_text(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
@@ -540,6 +606,8 @@ def test_help_matches_a_fresh_parser(capsys):
 LONG_TOKEN = "2" * 10**4 + "x"
 LONG_WORD = ".".join(["1"] * 5000)
 LONG_NUMBERS = st.sampled_from(["9" * 4000, "-" + "9" * 4000, "1" + "0" * 4299])
+# Past that limit, argparse refuses the number itself.
+UNREADABLE_NUMBER = "7" * 5000
 
 
 @pytest.fixture(scope="module")
@@ -579,7 +647,7 @@ def _argv(draw, files):
     orders = ["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Delta", "Bogus", "o" * 10**4]
     order = ["--order", draw(st.sampled_from(orders))]
     reading = draw(st.sampled_from([[], ["--strict"], ["--non-strict"]]))
-    order += reading + _optional(draw, "--tag", st.sampled_from(["int", "nat", "word", "rational"]))
+    order += reading + _optional(draw, "--tag", st.sampled_from(["int", "nat", "word", "rational", "t" * 10**4]))
     if kind == "analyze":
         return [kind, _any_file(draw, files)] + order
     if kind == "check-axioms":
@@ -609,7 +677,7 @@ def _argv(draw, files):
             kind,
             "--pipeline", draw(st.sampled_from(["subset", "rational", "binary", "rl"])),
             "--trials", str(draw(st.integers(0, 2))),
-            "--seed", str(draw(st.integers(0, 3))),
+            "--seed", str(draw(st.integers(0, 3) | LONG_NUMBERS)),
             "--horizon", str(draw(st.integers(0, 8) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS)),
             "--node-cap", str(draw(st.integers(0, 6) | LONG_NUMBERS)),
             "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]) | LONG_NUMBERS)),
@@ -619,9 +687,11 @@ def _argv(draw, files):
     if kind == "reduce":
         target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
         mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
-        horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS)
+        horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS | st.just(UNREADABLE_NUMBER))
         return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode
-    return draw(st.sampled_from([[], ["analyze"], ["nosuch"], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]))
+    return draw(st.sampled_from(
+        [[], ["analyze"], ["nosuch"], ["n" * 10**4], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]
+    ))
 
 
 def _outcome(argv):
@@ -672,8 +742,9 @@ def _check_printed_before_failing(argv, out, err):
 @settings(max_examples=50, deadline=None)
 def test_call_order_does_not_change_any_outcome(tiny_files, data):
     """a run of command lines gives each the same exit, stdout and stderr
-    in either order; on exit 2 every ``error:`` line is short, and stdout
-    holds only what was printed before the failure"""
+    in either order; on exit 2 every ``error:`` line, argparse's own
+    included, is short, and stdout holds only what was printed before
+    the failure"""
     root = os.path.dirname(tiny_files["ints"])
     argvs = data.draw(st.lists(_argv(tiny_files), min_size=2, max_size=6))
     forward = [_outcome(argv) for argv in argvs]
@@ -683,7 +754,7 @@ def test_call_order_does_not_change_any_outcome(tiny_files, data):
         assert code in (0, 1, 2)
         assert code != 2 or "error:" in err
         for line in err.splitlines():
-            assert not line.startswith("error:") or len(line.replace(root, "")) < 300, line[:80]
+            assert "error:" not in line or len(line.replace(root, "")) < 300, line[:80]
         if code == 2:
             _check_printed_before_failing(argv, out, err)
 

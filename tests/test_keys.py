@@ -1,8 +1,8 @@
 """The fast key paths against the paths they skip: bit-words built
 through bytes, doubled bits read from a table, encoders that walk runs
 of equal entries, exact int keys for dyadic rationals, bytes keys for
-reverse-lex words, bytes prefix links and Divides links found by
-walking multiples.
+reverse-lex words, bytes prefix links, Divides links found by walking
+multiples and fillers sliced from the longest one.
 
 Each ``check_*`` function reaches the code through its module or class,
 so ``tests/test_mutants.py`` can run the same checks on a patched copy.
@@ -23,8 +23,8 @@ from helpers import (
     ref_word_to_bits,
     ref_word_to_dyadic,
 )
-from orderchains import encodings, orders
-from orderchains.errors import DomainMismatchError
+from orderchains import encodings, orders, trees
+from orderchains.errors import ArgumentError, DomainMismatchError
 from orderchains.orders import rational_key
 from orderchains.trees import MAX_HORIZON, filler
 
@@ -76,13 +76,18 @@ def check_rl_keys(words):
 
 
 def check_prefix_links(words):
-    """Bytes-keyed links equal the tuple sweep's (run on the words with
-    every entry raised past 255, which keeps their prefix structure) and
-    the brute-force nearest prefixes, as link sets."""
+    """Links over the words' ``link_keys`` equal the tuple sweep's (run on
+    the words with every entry raised past 255, which keeps their prefix
+    structure and keys them as tuples) and the brute-force nearest
+    prefixes, as link sets."""
     order = orders.PrefixOrder()
-    links = order.lower_links(words)
-    swept = order.lower_links([tuple(e + 256 for e in w) for w in words])
+    links = order.lower_links(order.link_keys(words))
+    swept = order.lower_links(order.link_keys([tuple(e + 256 for e in w) for w in words]))
     assert list(map(set, links)) == list(map(set, swept)) == list(map(set, brute_nearest_prefixes(words)))
+
+
+def check_filler(n):
+    assert trees.filler(n) == (1,) * n + (0,)
 
 
 def check_divides_links(values):
@@ -212,7 +217,31 @@ def test_prefix_links_on_bytes_match_the_tuple_sweep(words):
 
 def test_prefix_links_past_255_take_the_tuple_sweep():
     words = [(), (300,), (300, 1), (1,), (1, 300, 2)]
-    assert orders.PrefixOrder().lower_links(words) == [(), (0,), (1,), (0,), (3,)]
+    order = orders.PrefixOrder()
+    assert order.link_keys(words) is words
+    assert order.lower_links(words) == [(), (0,), (1,), (0,), (3,)]
+
+
+@given(st.lists(wide_words, max_size=10))
+def test_prefix_link_keys_are_bytes_up_to_255(words):
+    keys = orders.PrefixOrder().link_keys(words)
+    assert keys == list(map(bytes, words))
+    assert all(type(k) is bytes for k in keys)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, MAX_HORIZON - 1])
+def test_filler_is_n_ones_then_a_zero(n):
+    check_filler(n)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(-1, "filler index must be non-negative"), (MAX_HORIZON, f"filler index {MAX_HORIZON} is past the horizon cap of {MAX_HORIZON}")],
+)
+def test_filler_refusals_keep_their_type_and_message(n, message):
+    with pytest.raises(ArgumentError) as info:
+        filler(n)
+    assert str(info.value) == message
 
 
 # Values that walk their multiples (within a factor of two of the top),

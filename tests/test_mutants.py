@@ -26,15 +26,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import brute_longest_chain
-from orderchains import chains, encodings, errors, orders
+from orderchains import chains, encodings, errors, orders, trees
 from orderchains.chains import Sequence
 from orderchains.errors import DomainMismatchError
 from orderchains.orders import Tag, make_order
-from orderchains.trees import filler
+from orderchains.trees import MAX_HORIZON, filler
 from test_boundaries import LONG_ECHOES, check_short_error
 from test_encodings import NEGATIVE_ENTRY_WORDS
 from test_keys import (
     check_divides_links,
+    check_filler,
     check_prefix_links,
     check_ratless_keys,
     check_rl_keys,
@@ -102,6 +103,7 @@ def check_refuses_word(word):
     raise AssertionError(f"{word!r} was encoded")
 
 
+PREFIX_LINK_WORDS = [(list(dict.fromkeys(WORDS[k : k + 8])),) for k in range(0, 40, 8)]
 INT_CHAINS = [("IntLess", Tag.INT, p, strict) for p in INTS for strict in (True, False)]
 PREFIX_CHAINS = [("SubsetWordNat", Tag.WORD_NAT, p, strict) for p in PREFIX_WORDS for strict in (True, False)]
 
@@ -136,8 +138,17 @@ MUTANTS = {
         check_rl_keys, [(WORDS[k : k + 5],) for k in range(0, 40, 5)],
     ),
     "prefix links keyed on all but the last entry": (
-        orders.PrefixOrder, "lower_links", "bytes(v)", "bytes(v[:-1])",
-        check_prefix_links, [(list(dict.fromkeys(WORDS[k : k + 8])),) for k in range(0, 40, 8)],
+        orders.PrefixOrder, "link_keys", "list(map(bytes, payloads))", "[bytes(v[:-1]) for v in payloads]",
+        check_prefix_links, PREFIX_LINK_WORDS,
+    ),
+    "prefix links with the startswith arguments swapped": (
+        orders.PrefixOrder, "lower_links", "extends = bytes.startswith",
+        "extends = lambda word, prefix: prefix.startswith(word)",
+        check_prefix_links, PREFIX_LINK_WORDS,
+    ),
+    "filler sliced one entry short": (
+        trees, "filler", "_FILLERS[MAX_HORIZON - n :]", "_FILLERS[MAX_HORIZON - n + 1 :]",
+        check_filler, [(n,) for n in (0, 1, 255, 256, MAX_HORIZON - 1)],
     ),
     "Divides links walking multiples short of the largest value": (
         orders.DividesOrder, "lower_links", "range(2 * x, top + 1, x)", "range(2 * x, top, x)",
