@@ -34,8 +34,11 @@ the index that finds the best later start:
   ``method="generic"`` forces.
 
 Each index gives the rebuild its relation on positions: ``ranked`` by
-key, the others by the oracle's relation on payloads.  ``linked`` and
-``generic`` then confirm each witness link through ``Order.related``.
+key, the others by the oracle's relation on payloads.  The rebuild jumps
+by ``list.index`` to each next position whose start is one shorter,
+skipping those the relation rejects; ``linked`` and ``generic`` then
+confirm each link through ``Order.related``.  A missing position or an
+unrelated link raises ``AssertionError``: the index gave wrong starts.
 
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
 routine for linear oracles; it must agree with the DP on length.
@@ -46,7 +49,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import index, itemgetter, le, lt
 
 from .errors import (
     DomainMismatchError,
@@ -63,7 +66,6 @@ from .orders import (
     Tag,
     check_domain,
     format_element,
-    format_payload,
     parse_payload,
     validate_payloads,
 )
@@ -148,11 +150,6 @@ def parse_sequence(text: str, tag: Tag) -> Sequence:
     return Sequence._trusted(tag, tuple([parse_payload(t, tag) for t in text.split()]))
 
 
-def format_sequence(seq: Sequence) -> str:
-    tag = seq.tag
-    return " ".join(format_payload(tag, p) for p in seq.payloads())
-
-
 @dataclass(frozen=True)
 class ChainWitness:
     """Positions and values of one chain inside a sequence."""
@@ -177,6 +174,7 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
     witness term only.  The lower-link and generic rebuilds confirm each
     witness link through ``order.related``; the ranked one calls no oracle.
     """
+    _check_args(y, order)
     payloads = y.payloads()
     n = len(payloads)
     if n == 0:
@@ -207,21 +205,32 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
 
     best = max(starts)
     indices: list[int] = []
-    need = best
-    prev = -1
-    for i in range(n):
-        if starts[i] == need and (prev < 0 or rel(prev, i)):
-            indices.append(i)
-            prev = i
-            need -= 1
-            if need == 0:
+    i = -1
+    for need in range(best, 0, -1):
+        while True:
+            try:
+                i = starts.index(need, i + 1)
+            except ValueError:
+                raise AssertionError(f"no position after {i} starts a chain of length {need}") from None
+            if not indices or rel(indices[-1], i):
                 break
+        indices.append(i)
     values = tuple(Element(tag, payloads[i]) for i in indices)
     if not ranked:
         for a, b in zip(values, values[1:]):
             if not order.related(a, b):
                 raise AssertionError(f"{order.name} does not relate the witness link {a} -> {b}")
     return best, ChainWitness(tuple(indices), values)
+
+
+def _check_args(y, *orders) -> None:
+    """Refuse a ``y`` that is not a ``Sequence`` and an oracle that is
+    not an ``Order`` with ``DomainMismatchError``."""
+    if not isinstance(y, Sequence):
+        raise DomainMismatchError(f"chain functions take a Sequence, got {echo(y, repr)}")
+    for order in orders:
+        if not isinstance(order, Order):
+            raise DomainMismatchError(f"chain functions take an Order, got {echo(order, repr)}")
 
 
 def _value_ids(keys):
@@ -261,6 +270,8 @@ def _suffix_lengths_linked(ids, links, strict):
         a = ids[i]
         s = 1 + (above[a] if strict else max(above[a], at[a]))
         starts[i] = at[a] = s
+        if not links[a]:
+            continue
         stack = [a]
         while stack:
             for q in links[stack.pop()]:
@@ -298,6 +309,7 @@ def _suffix_lengths_ranked(payloads, order):
 
 def patience_chain_length(y: Sequence, order: Order) -> int:
     """Longest chain length by patience sorting; linear oracles only."""
+    _check_args(y, order)
     if not order.is_linear:
         raise LinearityError(f"patience sorting needs a linear oracle, got {order.name}")
     if len(y) == 0:
@@ -317,30 +329,41 @@ def patience_chain_length(y: Sequence, order: Order) -> int:
 def verify_witness(indices, y: Sequence, order: Order) -> bool:
     """Check a claimed chain witness against the sequence.
 
-    Positions that are not integers or are out of range raise; a
-    non-increasing index vector or a broken link simply yields False.
+    Positions that are not integers or are out of range raise, the first
+    one in order; a non-increasing index vector or a broken link yields False.
+    Fewer than two positions are a chain, and no payload is read.
     """
+    _check_args(y, order)
     idx = read_container(indices, "witness indices")
     n = len(y)
-    for i in idx:
-        try:
-            i = index(i)
-        except TypeError:
-            raise WitnessIndexError(f"witness index {echo(i, repr)} is not an integer") from None
-        if not 0 <= i < n:
-            raise WitnessIndexError(f"witness index {echo(i)} outside sequence of length {n}")
-    links = list(zip(idx, idx[1:]))
-    if not all(a < b for a, b in links):
+    try:
+        pos = list(map(index, idx))
+    except TypeError:
+        pos = None
+    if pos is None or pos and (min(pos) < 0 or max(pos) >= n):
+        for i in idx:
+            try:
+                i = index(i)
+            except TypeError:
+                raise WitnessIndexError(f"witness index {echo(i, repr)} is not an integer") from None
+            if not 0 <= i < n:
+                raise WitnessIndexError(f"witness index {echo(i)} outside sequence of length {n}")
+    if not all(map(lt, pos, pos[1:])):
         return False
-    if links:
-        order.check_tag(y.tag)
-    payloads, related = y.payloads(), order._related
-    return all(related(payloads[a], payloads[b]) for a, b in links)
+    if len(pos) < 2:
+        return True
+    order.check_tag(y.tag)
+    values = list(map(y.payloads().__getitem__, pos))
+    if order.is_linear:
+        keys = order.sort_keys(values)
+        return all(map(lt if order.strict else le, keys, keys[1:]))
+    return all(map(order._related, values, values[1:]))
 
 
 def constant_subsequence(y: Sequence) -> tuple[Element, int]:
     """Most frequent value and its multiplicity; ties go to the value
     whose first occurrence is earliest."""
+    _check_args(y)
     if len(y) == 0:
         raise EmptySequenceError("constant_subsequence needs a non-empty sequence")
     # Counter keeps first-occurrence order, and max keeps the first of

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import chains, dense, encodings, orders, reductions, trees
 from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError, echo
-from .limits import MAX_DYADIC_DIGITS
+from .limits import ECHO_LIMIT, MAX_DYADIC_DIGITS
 from .orders import Tag
 from .words import format_bit_word, parse_nat_word
 
@@ -252,9 +252,12 @@ def _add_order_flags(sub):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with a bad value quoted through ``echo``, where argparse
-    quotes it whole: an unrecognized argument, and a value of the wrong
-    type or not among the choices."""
+    """argparse with every caller value in an error message quoted
+    through ``echo``, where argparse quotes it whole: an argument as
+    typed, or by ``repr`` the value of a flag or the explicit value after
+    ``--flag=`` or ``-f``."""
+
+    _argv = ()
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -262,15 +265,20 @@ class _Parser(argparse.ArgumentParser):
             self.error("unrecognized arguments: " + " ".join(map(echo, extras)))
         return args
 
-    def _get_values(self, action, arg_strings):
-        # Once per flag, not per value: encode takes thousands of tokens.
+    def parse_known_args(self, args=None, namespace=None):
+        # Kept for ``error`` during this call only, so no state outlives it.
+        self._argv = sys.argv[1:] if args is None else list(args)
         try:
-            return super()._get_values(action, arg_strings)
-        except argparse.ArgumentError as exc:
-            message = exc.message
-            for value in arg_strings:
-                message = message.replace(repr(value), echo(value, repr))
-            raise argparse.ArgumentError(action, message) from None
+            return super().parse_known_args(self._argv, namespace)
+        finally:
+            self._argv = ()
+
+    def error(self, message):
+        for arg in self._argv:
+            for value in (arg, arg.partition("=")[2], arg[2:]):
+                if len(value) > ECHO_LIMIT:
+                    message = message.replace(repr(value), echo(value, repr)).replace(value, echo(value))
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,8 +92,10 @@ class Element:
     value: object
 
     def __post_init__(self):
-        if not _valid_payloads(self.tag, (self.value,)):
-            raise DomainMismatchError(f"{_DOMAINS[self.tag][-1]}, got {echo(self.value, repr)}")
+        word, kind, lo, hi, text = check_domain(self.tag)
+        entries = self.value if word else (self.value,)
+        if not (isinstance(entries, tuple) and _valid_entries(entries, kind, lo, hi)):
+            raise DomainMismatchError(f"{text}, got {echo(self.value, repr)}")
 
     def __str__(self):
         return format_element(self)
@@ -129,24 +131,29 @@ def validate_payloads(tag: Tag, payloads) -> tuple:
     return tuple(make_element(tag, p).value for p in values)
 
 
-def check_domain(tag) -> None:
-    """Raise ``DomainMismatchError`` unless ``tag`` is a ``Tag``."""
-    _valid_payloads(tag, ())
+def check_domain(tag) -> tuple:
+    """The rules of a ``Tag``; anything else raises ``DomainMismatchError``."""
+    try:
+        return _DOMAINS[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise DomainMismatchError(f"{echo(tag, repr)} is not a domain tag") from None
 
 
 def _valid_payloads(tag: Tag, values: tuple) -> bool:
-    """Whether every payload is valid for ``tag`` as it is: one set test
-    for exact native types, ``isinstance`` for subclasses (never bool).
-    A tag that is not a ``Tag`` raises ``DomainMismatchError``."""
-    try:
-        word, kind, lo, hi, _ = _DOMAINS[tag]
-    except (KeyError, TypeError):  # TypeError: an unhashable tag
-        raise DomainMismatchError(f"{echo(tag, repr)} is not a domain tag") from None
+    """Whether every payload is valid for ``tag`` as it is: a tuple for a
+    word domain, and every scalar or word entry by ``_valid_entries``."""
+    word, kind, lo, hi, _ = check_domain(tag)
     if word:
-        if not (set(map(type, values)) <= {tuple} or all(isinstance(v, tuple) for v in values)):
+        if not ({tuple}.issuperset(map(type, values)) or all(isinstance(v, tuple) for v in values)):
             return False
         values = list(chain.from_iterable(values))
-    if not (set(map(type, values)) <= {kind} or all(isinstance(a, kind) and not isinstance(a, bool) for a in values)):
+    return _valid_entries(values, kind, lo, hi)
+
+
+def _valid_entries(values, kind, lo, hi) -> bool:
+    """The entry rule of ``Element`` and ``_valid_payloads``: each value of
+    type ``kind`` (a subclass by ``isinstance``, never bool), within bounds."""
+    if not ({kind}.issuperset(map(type, values)) or all(isinstance(a, kind) and not isinstance(a, bool) for a in values)):
         return False
     return not values or ((lo is None or min(values) >= lo) and (hi is None or max(values) <= hi))
 

@@ -7,6 +7,8 @@ from itertools import accumulate, chain, combinations, islice, product
 
 import hypothesis.strategies as st
 
+from orderchains.orders import Tag
+
 # Rationals whose floats tie: 1/3 plus small multiples of 2**-60 round
 # to one float, 10**400 and beyond overflow to +-inf, and 10**-400 and
 # below underflow to 0.0 or -0.0.
@@ -15,6 +17,25 @@ colliding_rationals = st.one_of(
     st.builds(lambda sign, k: sign * Fraction(10**400 + k), st.sampled_from([-1, 1]), st.integers(0, 2)),
     st.builds(lambda sign, k: sign * Fraction(1 + k, 10**400), st.sampled_from([-1, 1]), st.integers(0, 2)),
 )
+
+
+def ref_valid_payload(tag, value):
+    """Whether ``value`` is a payload of ``tag``, by the domain rules in
+    words: an int that is not a bool (at least 1 for NAT), a
+    ``Fraction``, or a tuple of such ints that are at least 0 (and at
+    most 1 for bits)."""
+
+    def integer(a, lo=None, hi=None):
+        return isinstance(a, int) and not isinstance(a, bool) and (lo is None or a >= lo) and (hi is None or a <= hi)
+
+    if tag is Tag.NAT:
+        return integer(value, 1)
+    if tag is Tag.INT:
+        return integer(value)
+    if tag is Tag.RATIONAL:
+        return isinstance(value, Fraction)
+    hi = 1 if tag is Tag.WORD_BIT else None
+    return isinstance(value, tuple) and all(integer(a, 0, hi) for a in value)
 
 
 def brute_longest_chain(seq, order):

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from orderchains.chains import Sequence, longest_chain, verify_witness
+from orderchains.chains import (
+    Sequence,
+    constant_subsequence,
+    longest_chain,
+    patience_chain_length,
+    verify_witness,
+)
 from orderchains.dense import (
     CountableSetStream,
     FixedStages,
@@ -161,6 +167,58 @@ NOT_AN_ELEMENT = {
 def test_an_item_that_is_not_an_element_raises_domain_mismatch(intake):
     with pytest.raises(DomainMismatchError, match="IntLess compares elements, got"):
         NOT_AN_ELEMENT[intake]()
+
+
+def _ints(*payloads):
+    return Sequence.from_payloads(Tag.INT, payloads)
+
+
+# A sequence that is not a ``Sequence``, or an oracle that is not an
+# ``Order``, at the chain functions.
+NOT_A_SEQUENCE = {
+    "longest_chain": lambda: longest_chain(None, IntLessOrder()),
+    "longest_chain payloads": lambda: longest_chain([1, 2], IntLessOrder()),
+    "patience_chain_length": lambda: patience_chain_length(None, IntLessOrder()),
+    "verify_witness": lambda: verify_witness([0], None, IntLessOrder()),
+    "constant_subsequence": lambda: constant_subsequence(None),
+    "constant_subsequence elements": lambda: constant_subsequence((Element(Tag.INT, 1),)),
+}
+NOT_AN_ORDER = {
+    "longest_chain": lambda: longest_chain(_ints(1, 2), None),
+    "longest_chain name": lambda: longest_chain(_ints(1, 2), "IntLess"),
+    "patience_chain_length": lambda: patience_chain_length(_ints(1, 2), None),
+    "verify_witness": lambda: verify_witness([0, 1], _ints(1, 2), None),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_A_SEQUENCE))
+def test_a_sequence_that_is_not_a_sequence_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError, match="chain functions take a Sequence, got"):
+        NOT_A_SEQUENCE[intake]()
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_AN_ORDER))
+def test_an_oracle_that_is_not_an_order_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError, match="chain functions take an Order, got"):
+        NOT_AN_ORDER[intake]()
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([99999, "a"], "witness index 99999 outside sequence of length 3"),
+        (["a", 99999], "witness index 'a' is not an integer"),
+        ([0, -1, None], "witness index -1 outside sequence of length 3"),
+        ([0, 1.5, 7], "witness index 1.5 is not an integer"),
+        ([True, 3], "witness index 3 outside sequence of length 3"),
+        ([2, 1, 3], "witness index 3 outside sequence of length 3"),
+    ],
+)
+def test_mixed_bad_witness_indices_report_the_first_in_order(indices, message):
+    "the first bad index in order is reported, whichever check it fails"
+    with pytest.raises(WitnessIndexError) as info:
+        verify_witness(indices, _ints(1, 2, 3), IntLessOrder())
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), 2, True, 0.5, Decimal("0.25"), "1/3", " 2/4 ", "-0.5", "1.5e-3"])

@@ -398,6 +398,29 @@ def test_verify_witness_checks_the_domain_at_the_first_link():
     assert str(info.value) == "IntLess compares int elements, got nat"
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "name, tag, payload",
+    [
+        ("RatLess", Tag.WORD_NAT, (1,)),
+        ("RatLess", Tag.NAT, 10**9),
+        ("RL", Tag.RATIONAL, Fraction(1, 2)),
+        ("RL", Tag.NAT, 10**9),
+        ("Divides", Tag.RATIONAL, Fraction(1, 2)),
+    ],
+)
+def test_verify_witness_reads_no_payload_of_another_tag(name, tag, payload, strict):
+    "one position on a sequence of another tag is a chain; two reach the tag check before any key is built"
+    order = make_order(name, strict)
+    seq = Sequence.from_payloads(tag, [payload, payload])
+    assert verify_witness([0], seq, order)
+    assert verify_witness([1], seq, order)
+    with pytest.raises(DomainMismatchError) as info:
+        verify_witness([0, 1], seq, order)
+    assert str(info.value).startswith(f"{name} compares ")
+    assert str(info.value).endswith(f" elements, got {tag.value}")
+
+
 def _count_elements(monkeypatch):
     "a counter of Element.__post_init__ calls"
     built = [0]

@@ -560,6 +560,15 @@ COMMANDS = "'analyze', 'reduce', 'encode', 'fuzz', 'classify', 'cantor', 'decide
         ),
         (("nosuch",), f"orderchains: error: argument command: invalid choice: 'nosuch' (choose from {COMMANDS})"),
         (("encode", "--map", "binary", "1", "--x=" + "y" * 36), "orderchains: error: unrecognized arguments: --x=" + "y" * 36),
+        (
+            ("fuzz", "--m=" + "x" * 36),
+            "orderchains fuzz: error: ambiguous option: --m=" + "x" * 36 + " could match --mean-children, --max-children",
+        ),
+        (
+            ("analyze", "t", "--order", "IntLess", "--strict=" + "y" * 40),
+            f"orderchains analyze: error: argument --strict: ignored explicit argument '{'y' * 40}'",
+        ),
+        (("analyze", "t", "-h" + "z" * 40), f"orderchains analyze: error: argument -h/--help: ignored explicit argument '{'z' * 40}'"),
     ],
 )
 def test_usage_errors_quote_a_short_value_whole(capsys, argv, line):
@@ -576,6 +585,9 @@ def test_usage_errors_quote_a_short_value_whole(capsys, argv, line):
         (("analyze", "t", "--order", "IntLess", "--tag", "t" * 10**4), 10**4),
         (("n" * 10**4,), 10**4),
         (("encode", "--map", "binary", "1", "--x=" + "y" * 10**4), 10**4 + 4),
+        (("fuzz", "--m=" + "x" * 5000), 5004),
+        (("analyze", "t", "--order", "IntLess", "--strict=" + "y" * 5000), 5000),
+        (("analyze", "t", "-h" + "z" * 5000), 5000),
     ],
 )
 def test_usage_errors_cut_a_long_value(capsys, argv, size):
@@ -689,9 +701,10 @@ def _argv(draw, files):
         mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
         horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS | st.just(UNREADABLE_NUMBER))
         return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode
-    return draw(st.sampled_from(
-        [[], ["analyze"], ["nosuch"], ["n" * 10**4], ["cantor", "--depth", "x"], ["encode", "--map", "binary"]]
-    ))
+    return draw(st.sampled_from([
+        [], ["analyze"], ["nosuch"], ["n" * 10**4], ["cantor", "--depth", "x"], ["encode", "--map", "binary"],
+        ["fuzz", "--m=" + "x" * 5000], ["analyze", "t", "--order", "IntLess", "--strict=" + "y" * 5000],
+    ]))
 
 
 def _outcome(argv):

@@ -2,7 +2,8 @@
 through bytes, doubled bits read from a table, encoders that walk runs
 of equal entries, exact int keys for dyadic rationals, bytes keys for
 reverse-lex words, bytes prefix links, Divides links found by walking
-multiples and fillers sliced from the longest one.
+multiples, fillers sliced from the longest one and witness links
+verified on sort keys.
 
 Each ``check_*`` function reaches the code through its module or class,
 so ``tests/test_mutants.py`` can run the same checks on a patched copy.
@@ -23,9 +24,10 @@ from helpers import (
     ref_word_to_bits,
     ref_word_to_dyadic,
 )
-from orderchains import encodings, orders, trees
+from orderchains import chains, encodings, orders, trees
+from orderchains.chains import Sequence
 from orderchains.errors import ArgumentError, DomainMismatchError
-from orderchains.orders import rational_key
+from orderchains.orders import make_order, rational_key
 from orderchains.trees import MAX_HORIZON, filler
 
 dyadics = st.builds(
@@ -88,6 +90,15 @@ def check_prefix_links(words):
 
 def check_filler(n):
     assert trees.filler(n) == (1,) * n + (0,)
+
+
+def check_verify_witness(name, strict, payloads, indices):
+    """``verify_witness`` gives the per-link verdict: each link's
+    positions increase and ``_related`` relates their payloads."""
+    order = make_order(name, strict)
+    links = list(zip(indices, indices[1:]))
+    want = all(a < b and order._related(payloads[a], payloads[b]) for a, b in links)
+    assert chains.verify_witness(indices, Sequence.from_payloads(order.domain, payloads), order) == want
 
 
 def check_divides_links(values):
@@ -227,6 +238,29 @@ def test_prefix_link_keys_are_bytes_up_to_255(words):
     keys = orders.PrefixOrder().link_keys(words)
     assert keys == list(map(bytes, words))
     assert all(type(k) is bytes for k in keys)
+
+
+# Values for each linear oracle, with repeats, so that equal keys meet
+# in both readings: dyadic, non-dyadic and float-tied rationals, and RL
+# words with entries past 255, which key as tuples rather than bytes.
+WITNESS_VALUES = {
+    "IntLess": st.integers(-3, 3),
+    "RatLess": st.one_of(dyadics, colliding_rationals, st.fractions(max_denominator=3)),
+    "RL": st.one_of(small_words, st.lists(st.integers(254, 257), max_size=3).map(tuple)),
+    "LexBit": st.lists(st.integers(0, 1), max_size=3).map(tuple),
+}
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+@pytest.mark.parametrize("name", sorted(WITNESS_VALUES))
+@given(data=st.data())
+def test_verify_witness_on_sort_keys_matches_the_per_link_relation(name, strict, data):
+    payloads = data.draw(st.lists(WITNESS_VALUES[name], min_size=1, max_size=12))
+    positions = st.integers(0, len(payloads) - 1)
+    indices = data.draw(st.one_of(
+        st.lists(positions, unique=True, max_size=6).map(sorted), st.lists(positions, max_size=6)
+    ))
+    check_verify_witness(name, strict, payloads, indices)
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, MAX_HORIZON - 1])

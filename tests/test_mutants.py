@@ -39,9 +39,11 @@ from test_keys import (
     check_prefix_links,
     check_ratless_keys,
     check_rl_keys,
+    check_verify_witness,
     check_word_to_bits,
     check_word_to_dyadic,
 )
+from test_orders import check_element
 
 rng = random.Random(2)
 WORDS = [tuple(rng.randrange(4) for _ in range(rng.randrange(5))) for _ in range(40)]
@@ -106,6 +108,15 @@ def check_refuses_word(word):
 PREFIX_LINK_WORDS = [(list(dict.fromkeys(WORDS[k : k + 8])),) for k in range(0, 40, 8)]
 INT_CHAINS = [("IntLess", Tag.INT, p, strict) for p in INTS for strict in (True, False)]
 PREFIX_CHAINS = [("SubsetWordNat", Tag.WORD_NAT, p, strict) for p in PREFIX_WORDS for strict in (True, False)]
+# Every increasing pair of positions of each int list, in both readings.
+INT_WITNESSES = [
+    ("IntLess", strict, p, [a, b]) for p in INTS for b in range(len(p)) for a in range(b) for strict in (True, False)
+]
+# Payloads just inside and just outside each domain's bounds.
+EDGE_PAYLOADS = [
+    (Tag.WORD_BIT, (2,)), (Tag.WORD_BIT, (0, 1, 2)), (Tag.WORD_BIT, (1, 0)), (Tag.WORD_NAT, (2, 0)),
+    (Tag.NAT, 0), (Tag.NAT, 1), (Tag.INT, -1), (Tag.WORD_NAT, (-1,)),
+]
 
 
 MUTANTS = {
@@ -168,9 +179,21 @@ MUTANTS = {
         chains, "_suffix_lengths_linked", "stack.append(q)", "pass",
         check_chain, PREFIX_CHAINS,
     ),
+    "linked pass skipping values that have links": (
+        chains, "_suffix_lengths_linked", "if not links[a]:", "if links[a]:",
+        check_chain, PREFIX_CHAINS,
+    ),
     "witness rebuild without the relation test": (
-        chains, "longest_chain", "starts[i] == need and (prev < 0 or rel(prev, i))", "starts[i] == need",
+        chains, "longest_chain", "if not indices or rel(indices[-1], i):", "if True:",
         check_chain, INT_CHAINS + PREFIX_CHAINS,
+    ),
+    "verify_witness reading strict keys as non-strict": (
+        chains, "verify_witness", "lt if order.strict else le", "le",
+        check_verify_witness, INT_WITNESSES,
+    ),
+    "element entry rule without its upper bound": (
+        orders, "_valid_entries", "(hi is None or max(values) <= hi)", "True",
+        check_element, EDGE_PAYLOADS,
     ),
     "echo without its cut": (
         errors, "echo", "size, text = len(text), text[:ECHO_LIMIT]", "size, text = len(text), text",

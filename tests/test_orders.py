@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from helpers import brute_axiom_violations, colliding_rationals
+from helpers import brute_axiom_violations, colliding_rationals, ref_valid_payload
+from orderchains import orders
 from orderchains.chains import Sequence
 from orderchains.errors import ArgumentError, DomainMismatchError, ParseError, echo
 from orderchains.orders import (
@@ -335,6 +336,72 @@ def test_validate_payloads_matches_make_element(tag):
                 got = validate_payloads(tag, payloads)
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
+
+
+class _SubTuple(tuple):
+    pass
+
+
+class _SubFraction(Fraction):
+    pass
+
+
+DOMAIN_TEXTS = {
+    Tag.NAT: "nat elements are integers >= 1",
+    Tag.INT: "int elements are integers",
+    Tag.RATIONAL: "rational elements are Fractions",
+    Tag.WORD_NAT: "word elements are tuples of naturals",
+    Tag.WORD_BIT: "bit-word elements are tuples over {0,1}",
+}
+
+
+def _refusal(build):
+    "the text of the ``DomainMismatchError`` that ``build()`` raises, or None"
+    try:
+        build()
+    except DomainMismatchError as exc:
+        return str(exc)
+    return None
+
+
+def check_element(tag, value):
+    """``Element`` checks one payload as the bulk check and the rule in
+    words do, and refuses it with the same text; a tag that is not a
+    ``Tag`` is refused by both checks alike."""
+    if isinstance(tag, Tag):
+        want = ref_valid_payload(tag, value)
+        assert orders._valid_payloads(tag, (value,)) == want
+        text = None if want else f"{DOMAIN_TEXTS[tag]}, got {echo(value, repr)}"
+    else:
+        text = f"{echo(tag, repr)} is not a domain tag"
+        assert _refusal(lambda: orders._valid_payloads(tag, (value,))) == text
+    assert _refusal(lambda: orders.Element(tag, value)) == text
+
+
+# Odd payloads: bools, int, tuple and Fraction subclasses, negative
+# entries, bit 2, nested tuples, lists, floats and strings.
+odd_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-2, 3),
+    st.integers(-2, 3).map(_SubInt),
+    st.sampled_from(list(_Bit)),
+    st.fractions(max_denominator=4),
+    st.fractions(max_denominator=4).map(_SubFraction),
+    st.sampled_from([0.5, "1", None]),
+)
+odd_entries = st.recursive(odd_scalars, lambda inner: st.lists(inner, max_size=2).map(tuple), max_leaves=4)
+odd_payloads = st.one_of(
+    odd_entries,
+    st.lists(odd_entries, max_size=4).map(tuple),
+    st.lists(odd_entries, max_size=4).map(_SubTuple),
+    st.lists(odd_scalars, max_size=2),
+)
+odd_tags = st.sampled_from(list(Tag) + ["nat", None, 5, []])
+
+
+@given(odd_tags, odd_payloads)
+def test_element_checks_one_payload_as_the_bulk_check_does(tag, value):
+    check_element(tag, value)
 
 
 @pytest.mark.parametrize(
