@@ -16,9 +16,9 @@ values are related under the oracle; relatedness is only required
 between neighbours, not pairwise.  ``longest_chain`` computes, from the
 right, the longest chain ``starts[i]`` starting at each position, then
 rebuilds the lexicographically least witness.  The oracle alone picks
-the index that finds the best later start:
+the index that finds the best later start, by what it is:
 
-* ``ranked``: linear oracles.  One right-to-left patience pass with
+* ``ranked``: a ``LinearOrder``.  One right-to-left patience pass with
   binary search over the oracle's ``sort_keys`` (which may be ints or
   bytes that order as the payloads do) gives every start, O(n log n)
   key comparisons and no sort.
@@ -29,9 +29,8 @@ the index that finds the best later start:
   pushed down the links into the best start above every lower value,
   O(n + v log v) plus the pushes, which are bounded by n times the link
   depth.
-* ``generic``: the plain O(n^2) scan over positions.  It is the fallback
-  for an ``Order`` subclass that has neither, and the reference that
-  ``method="generic"`` forces.
+* ``generic``: the plain O(n^2) scan over positions for any other
+  ``Order``, and the reference the other indexes are tested against.
 
 Each index gives the rebuild its relation on positions: ``ranked`` by
 key, the others by the oracle's relation on payloads.  The rebuild jumps
@@ -41,7 +40,7 @@ confirm each link through ``Order.related``.  A missing position or an
 unrelated link raises ``AssertionError``: the index gave wrong starts.
 
 ``patience_chain_length`` is the independent O(n log n) patience-sorting
-routine for linear oracles; it must agree with the DP on length.
+routine for a ``LinearOrder``; it must agree with the DP on length.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from .errors import (
 )
 from .orders import (
     Element,
+    LinearOrder,
     Order,
     Tag,
     check_domain,
@@ -158,34 +158,24 @@ class ChainWitness:
     values: tuple[Element, ...]
 
 
-def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int, ChainWitness]:
+def longest_chain(y: Sequence, order: Order) -> tuple[int, ChainWitness]:
     """Length and witness of the longest chain in y under the oracle.
 
     Among maximum-length chains the witness has the lexicographically
-    least index vector.  By default the oracle picks the index:
-    ``ranked`` for linear oracles (a patience pass with binary search
-    over the sort keys, O(n log n)), the lower-link index over the v
-    distinct values (O(n + v log v) plus pushes bounded by n times the
-    link depth) for oracles whose ``lower_links`` is not None, and the
-    O(n^2) generic scan for the rest.  ``method="generic"`` forces that
-    scan, the reference the other indexes are tested against.
-
-    The kernels compare payloads, and an ``Element`` is built for each
-    witness term only.  The lower-link and generic rebuilds confirm each
-    witness link through ``order.related``; the ranked one calls no oracle.
+    least index vector.  The oracle picks the index (see the module
+    docstring): ``ranked`` for a ``LinearOrder``, ``linked`` when its
+    ``lower_links`` is not None, ``generic`` otherwise.  An ``Element``
+    is built for each witness term only.
     """
     _check_args(y, order)
     payloads = y.payloads()
-    n = len(payloads)
-    if n == 0:
+    if not payloads:
         raise EmptySequenceError("longest_chain needs a non-empty sequence")
-    if method not in ("auto", "generic"):
-        raise ParseError(f"unknown longest_chain method {echo(method, repr)}")
     # A Sequence holds one tag, so one check covers every term.
     tag = y.tag
     order.check_tag(tag)
 
-    ranked = method == "auto" and order.is_linear
+    ranked = isinstance(order, LinearOrder)
     if ranked:
         starts, rel = _suffix_lengths_ranked(payloads, order)
     else:
@@ -194,10 +184,8 @@ def longest_chain(y: Sequence, order: Order, method: str = "auto") -> tuple[int,
         def rel(i, j):
             return related(payloads[i], payloads[j])
 
-        links = None
-        if method == "auto":
-            ids, distinct = _value_ids(order.link_keys(payloads))
-            links = order.lower_links(distinct)
+        ids, distinct = _value_ids(order.link_keys(payloads))
+        links = order.lower_links(distinct)
         if links is None:
             starts = _suffix_lengths_generic(payloads, related)
         else:
@@ -308,9 +296,9 @@ def _suffix_lengths_ranked(payloads, order):
 
 
 def patience_chain_length(y: Sequence, order: Order) -> int:
-    """Longest chain length by patience sorting; linear oracles only."""
+    """Longest chain length by patience sorting; a ``LinearOrder`` only."""
     _check_args(y, order)
-    if not order.is_linear:
+    if not isinstance(order, LinearOrder):
         raise LinearityError(f"patience sorting needs a linear oracle, got {order.name}")
     if len(y) == 0:
         raise EmptySequenceError("patience_chain_length needs a non-empty sequence")
@@ -354,7 +342,7 @@ def verify_witness(indices, y: Sequence, order: Order) -> bool:
         return True
     order.check_tag(y.tag)
     values = list(map(y.payloads().__getitem__, pos))
-    if order.is_linear:
+    if isinstance(order, LinearOrder):
         keys = order.sort_keys(values)
         return all(map(lt if order.strict else le, keys, keys[1:]))
     return all(map(order._related, values, values[1:]))

@@ -50,7 +50,7 @@ from .errors import (
     read_container,
 )
 from .limits import MAX_DEPTH, MAX_RESOLUTION, MAX_STREAM_VALUES
-from .orders import Element, Order, Tag, make_element, rational_key, validate_payloads
+from .orders import Element, LinearOrder, Order, Tag, make_element, rational_key, validate_payloads
 from .trees import iter_words
 from .words import Word, format_bit_word
 
@@ -396,7 +396,7 @@ def dense_embed(
     budget only if the stream is not dense enough between those images.
     """
     elems = read_container(elems, "elements to embed")
-    if not order.is_linear:
+    if not isinstance(order, LinearOrder):
         raise LinearityError(f"dense_embed needs a linear source order, got {order.name}")
     images: dict[Element, Fraction] = {}
     placed_keys: list = []

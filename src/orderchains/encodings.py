@@ -45,7 +45,10 @@ def word_to_bits(word: Word) -> Word:
     equal entries is its code repeated k times.
     """
     # A tuple built from bytes is allocated once at its final size.
-    return tuple(b"".join([(bytes(double_bits(e)) + b"\x00\x01") * len([*run]) for e, run in groupby(word)]))
+    try:
+        return tuple(b"".join([(bytes(double_bits(e)) + b"\x00\x01") * len([*run]) for e, run in groupby(word)]))
+    except TypeError:
+        raise DomainMismatchError("word_to_bits is defined on words of naturals") from None
 
 
 _NAT_WORDS_ONLY = "word_to_dyadic is defined on words of naturals"
@@ -69,7 +72,10 @@ def word_to_dyadic(word: Word) -> Fraction:
     are copies.  Fewer copies than the block is wide take one shift
     each.
     """
-    digits = len(word) + sum(word)
+    try:
+        digits = len(word) + sum(word)
+    except TypeError:
+        raise DomainMismatchError(_NAT_WORDS_ONLY) from None
     if digits > MAX_DYADIC_DIGITS:
         raise DomainMismatchError(
             f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"

@@ -4,16 +4,17 @@ Each oracle answers a four-valued ``compare`` (LT / EQ / GT /
 INCOMPARABLE) that is independent of strictness; ``related`` projects
 the verdict onto the strict or reflexive reading the oracle was built
 with; ``_compare`` and ``_related`` do the same on unchecked payloads.
-A linear oracle states its order once, as one key per payload that
-embeds it into Python's native comparisons: ``compare`` and ``sort_key``
-both derive from that key.  The ranked chain pass compares
-``sort_keys``, which may trade that key for one that orders the same
-and compares in C: exact ints for dyadic rationals, bytes for
-reverse-lex words.  A partial oracle may instead list the values below
-each value through ``lower_links``, which the linked chain index
-follows: nearest prefixes for the prefix orders, proper divisors for
-Divides.  It lists them over ``link_keys``, which may likewise trade
-each payload for a key that ties the same: bytes for prefix words.
+An oracle is linear exactly when it is a ``LinearOrder``, which states
+its order once, as one key per payload that embeds it into Python's
+native comparisons: ``compare`` and ``sort_key`` both derive from that
+key.  The ranked chain pass compares ``sort_keys``, which may trade that
+key for one that orders the same and compares in C: exact ints for
+dyadic rationals, bytes for reverse-lex words.  A partial oracle may
+instead list the values below each value through ``lower_links``, which
+the linked chain index follows: nearest prefixes for the prefix orders,
+proper divisors for Divides.  It lists them over ``link_keys``, which
+may likewise trade each payload for a key that ties the same: bytes for
+prefix words.  Any other oracle gets the generic chain scan.
 """
 
 from __future__ import annotations
@@ -251,12 +252,12 @@ def format_element(el: Element) -> str:
 class Order:
     """Base of all comparison oracles.
 
-    Subclasses fix the external ``name``, the domain tag, whether the
-    order is linear, and the payload comparison ``_compare``.
+    Subclasses fix the external ``name``, the domain tag and the payload
+    comparison ``_compare``.  A linear order subclasses ``LinearOrder``;
+    a partial one may list its lower values through ``lower_links``.
     """
 
     name: str = "?"
-    is_linear: bool = False
 
     def __init__(self, strict: bool = True, domain: Tag | None = None):
         self.strict = strict
@@ -292,10 +293,6 @@ class Order:
             raise DomainMismatchError(f"{self.name} compares elements, got {echo(el, repr)}")
         self.check_tag(el.tag)
 
-    def sort_key(self, el: Element):
-        """Order-embedding key into Python comparisons (linear oracles only)."""
-        raise NotImplementedError(f"{self.name} has no sort key")
-
     def link_keys(self, payloads):
         """Keys that tie exactly as the payloads do, for ``lower_links``;
         by default the payloads themselves."""
@@ -328,7 +325,6 @@ class LinearOrder(Order):
     """Base of the linear oracles: the order is that of ``_key`` on
     payloads, or of the payloads themselves when ``_key`` is None."""
 
-    is_linear = True
     _key = None
 
     def _compare(self, x, y):
@@ -619,9 +615,9 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     """Check order axioms exhaustively on a finite support.
 
     By default reflexivity, antisymmetry and transitivity are checked,
-    plus totality when the oracle claims linearity.  Pass ``axioms`` to
-    probe a different set (e.g. totality of a partial order).  The
-    report lists every violated instance.  A support of more than
+    plus totality for a ``LinearOrder``.  Pass ``axioms`` to probe a
+    different set (e.g. totality of a partial order).  The report lists
+    every violated instance.  A support of more than
     ``MAX_AXIOM_SUPPORT`` elements, or one with more than
     ``MAX_AXIOM_VIOLATIONS`` transitivity violations, raises
     ``ArgumentError``; the violations are counted before any is built.
@@ -631,7 +627,7 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
     if n > MAX_AXIOM_SUPPORT:
         raise ArgumentError(f"check_axioms takes at most {MAX_AXIOM_SUPPORT} support elements, got {n}")
     if axioms is None:
-        axioms = KNOWN_AXIOMS if order.is_linear else KNOWN_AXIOMS[:3]
+        axioms = KNOWN_AXIOMS if isinstance(order, LinearOrder) else KNOWN_AXIOMS[:3]
     else:
         axioms = tuple(axioms)
         for ax in axioms:

@@ -15,6 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from math import inf
+from operator import index
 from typing import Callable
 
 from .chains import Sequence, longest_chain
@@ -51,14 +52,17 @@ def lift_map(x: Sequence, pmap: PointwiseMap) -> Sequence:
     return Sequence._trusted(pmap.codomain, tuple(map(pmap.fn, x.payloads())))
 
 
-def reduce_tree(tree: FiniteTree, horizon: int) -> Sequence:
-    """First ``horizon`` terms of the reduction of the tree; a horizon
-    above ``trees.MAX_HORIZON`` raises ``ArgumentError`` before any term
-    is built."""
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise ArgumentError("horizon must be at least 1")
     if horizon > MAX_HORIZON:
         raise ArgumentError(f"horizon {echo(horizon)} is above the cap of {MAX_HORIZON}")
+
+
+def reduce_tree(tree: FiniteTree, horizon: int) -> Sequence:
+    """First ``horizon`` terms of the reduction of the tree; a horizon
+    below 1 or above ``trees.MAX_HORIZON`` raises ``ArgumentError`` first."""
+    _check_horizon(horizon)
     nodes = tree.nodes
     # Enumerated words and fillers are nat-words by construction.
     return Sequence._trusted(
@@ -237,8 +241,13 @@ def fuzz_reduction(
     For the prefix-order targets (``subset``, and ``binary``, whose map
     preserves and reflects the prefix order) the image chain length must
     sit in [L_tree, L_tree + 1]; the reverse-lex targets keep the lower
-    bound.
+    bound.  A horizon ``reduce_tree`` refuses, or a negative trial
+    count, raises ``ArgumentError`` before the first trial.
     """
+    trials = index(trials)  # a trial count that is not an int fails as range fails
+    _check_horizon(horizon)
+    if trials < 0:
+        raise ArgumentError(f"trial count {echo(trials)} is negative")
     rows = []
     for trial in range(trials):
         seed = _trial_seed(gen.seed, trial)

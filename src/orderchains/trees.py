@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterable, Iterator
 
-from .errors import ArgumentError, ParseError, TreePrefixError, echo
+from .errors import ArgumentError, DomainMismatchError, ParseError, TreePrefixError, echo
 from .limits import MAX_BLOCK, MAX_HORIZON
 from .orders import Tag, validate_payloads
 from .words import Word, parse_nat_word
@@ -140,10 +140,13 @@ def index_of(word: Word) -> int:
     Then each entry passes the tails of every smaller entry at its place;
     a smaller entry is never the top one, so they all count alike.
     """
-    b = block_of(word)
+    try:
+        b = block_of(word)
+        length = len(word)
+    except TypeError:
+        raise DomainMismatchError("index_of is defined on words of naturals") from None
     if b > MAX_BLOCK:
         raise ArgumentError(f"the enumeration ranks words of length at most {MAX_BLOCK} with entries below {MAX_BLOCK}")
-    length = len(word)
     idx = _words_through(b - 1) + sum(_tails(b, n, False) for n in range(1, length))
     free = length == b
     for rem, entry in zip(range(length - 1, -1, -1), word):

@@ -7,7 +7,7 @@ from itertools import accumulate, chain, combinations, islice, product
 
 import hypothesis.strategies as st
 
-from orderchains.orders import Tag
+from orderchains.orders import Order, Tag
 
 # Rationals whose floats tie: 1/3 plus small multiples of 2**-60 round
 # to one float, 10**400 and beyond overflow to +-inf, and 10**-400 and
@@ -52,6 +52,18 @@ def brute_longest_chain(seq, order):
             if all(order.related(items[a], items[b]) for a, b in zip(idx, idx[1:])):
                 return length, idx
     raise AssertionError("empty sequence")
+
+
+def index_free(order):
+    """The oracle with its relation alone: an ``Order`` with the
+    original's name, domain, reading and payload relation, but no sort
+    key and no lower links, so ``longest_chain`` gives it the generic
+    scan."""
+    free = Order(order.strict, order.domain)
+    free.name = order.name
+    free._compare = order._compare
+    free._related = order._related
+    return free
 
 
 def brute_chain_length(seq, order):

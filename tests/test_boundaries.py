@@ -24,7 +24,7 @@ from orderchains.dense import (
     persistently_approaches,
     splitting_depth,
 )
-from orderchains.encodings import format_dyadic_binary, lex_between
+from orderchains.encodings import format_dyadic_binary, lex_between, word_to_bits, word_to_dyadic
 from orderchains.errors import (
     ArgumentError,
     ArgumentOrderError,
@@ -50,8 +50,15 @@ from orderchains.orders import (
     parse_payload,
     validate_payloads,
 )
-from orderchains.reductions import PointwiseMap, TreeGenSpec, lift_map, make_pipeline, reduce_tree
-from orderchains.trees import MAX_HORIZON, filler, validate_tree
+from orderchains.reductions import (
+    PointwiseMap,
+    TreeGenSpec,
+    fuzz_reduction,
+    lift_map,
+    make_pipeline,
+    reduce_tree,
+)
+from orderchains.trees import MAX_HORIZON, filler, index_of, validate_tree
 
 # Past the interpreter's digit limit for int -> str (4 300 by default),
 # so str() and repr() of it raise ValueError.
@@ -169,6 +176,28 @@ def test_an_item_that_is_not_an_element_raises_domain_mismatch(intake):
         NOT_AN_ELEMENT[intake]()
 
 
+# A word that is not a tuple of naturals, where a word is taken.
+NOT_A_WORD = {
+    "word_to_dyadic None": lambda: word_to_dyadic(None),
+    "word_to_dyadic int": lambda: word_to_dyadic(5),
+    "word_to_dyadic str": lambda: word_to_dyadic("ab"),
+    "word_to_dyadic entry": lambda: word_to_dyadic((1, None)),
+    "word_to_bits None": lambda: word_to_bits(None),
+    "word_to_bits int": lambda: word_to_bits(5),
+    "word_to_bits str": lambda: word_to_bits("ab"),
+    "word_to_bits entry": lambda: word_to_bits((1, None)),
+    "index_of None": lambda: index_of(None),
+    "index_of str": lambda: index_of("ab"),
+    "index_of entry": lambda: index_of((1, None)),
+}
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_A_WORD))
+def test_a_word_that_is_not_a_word_raises_domain_mismatch(intake):
+    with pytest.raises(DomainMismatchError, match="is defined on words of naturals"):
+        NOT_A_WORD[intake]()
+
+
 def _ints(*payloads):
     return Sequence.from_payloads(Tag.INT, payloads)
 
@@ -284,8 +313,8 @@ HUGE_ECHOES = {
         lambda: dense_embed(_rationals(HUGE), RatLessOrder(), CountableSetStream([]), budget=0),
     ),
     "format_dyadic_binary": (DomainMismatchError, lambda: format_dyadic_binary(Fraction(1, 3 * HUGE))),
-    "longest_chain method": (ParseError, lambda: longest_chain(Sequence.from_payloads(Tag.INT, [1]), IntLessOrder(), HUGE)),
     "make_pipeline": (ParseError, lambda: make_pipeline(HUGE)),
+    "fuzz_reduction trials": (ArgumentError, lambda: fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), -HUGE, 10)),
     "validate_tree mode": (ParseError, lambda: validate_tree([()], mode=HUGE)),
     "parse_payload tag": (ParseError, lambda: parse_payload("1", HUGE)),
 }
@@ -350,12 +379,13 @@ LONG_ECHOES = {
     "parse_payload word": (ParseError, lambda: parse_payload("1." + LONG_TEXT, Tag.WORD_NAT)),
     "parse_payload bits": (ParseError, lambda: parse_payload(LONG_TEXT, Tag.WORD_BIT)),
     "parse_payload tag": (ParseError, lambda: parse_payload("1", LONG_TEXT)),
-    "longest_chain method": (ParseError, lambda: longest_chain(_long_sequence(), IntLessOrder(), method=LONG_TEXT)),
     "verify_witness type": (WitnessIndexError, lambda: verify_witness([LONG_TEXT], _long_sequence(), IntLessOrder())),
     "verify_witness range": (WitnessIndexError, lambda: verify_witness([LONG], _long_sequence(), IntLessOrder())),
     "lift_map": (DomainMismatchError, lambda: lift_map(_long_sequence(), PointwiseMap(LONG_TEXT, Tag.NAT, Tag.NAT, abs))),
     "make_pipeline": (ParseError, lambda: make_pipeline("p" * 10**5)),
     "reduce_tree horizon": (ArgumentError, lambda: reduce_tree(validate_tree([()]), LONG)),
+    "fuzz_reduction horizon": (ArgumentError, lambda: fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), 0, LONG)),
+    "fuzz_reduction trials": (ArgumentError, lambda: fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), -LONG, 10)),
     "TreeGenSpec depth_cap": (ArgumentError, lambda: TreeGenSpec(seed=0, depth_cap=LONG)),
     "TreeGenSpec max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=LONG)),
     "TreeGenSpec negative max_children": (ArgumentError, lambda: TreeGenSpec(seed=0, max_children=-LONG)),
@@ -460,3 +490,26 @@ def test_horizon_cap_refuses_before_any_term():
         filler(MAX_HORIZON)
     with pytest.raises(ArgumentError):
         filler(HUGE)
+
+
+@pytest.mark.parametrize("trials", [0, 1, -3])
+@pytest.mark.parametrize("horizon", [0, -5, MAX_HORIZON + 1, HUGE], ids=["0", "-5", "cap+1", "huge"])
+def test_fuzz_reduction_refuses_a_horizon_before_any_trial(trials, horizon, monkeypatch):
+    "fuzz_reduction refuses a horizon as reduce_tree does, with no trial run, whatever the trial count"
+    tree = validate_tree([()])
+    with pytest.raises(ArgumentError) as want:
+        reduce_tree(tree, horizon)
+    monkeypatch.setattr("orderchains.reductions.generate_tree", None)
+    with pytest.raises(ArgumentError) as got:
+        fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), trials, horizon)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("trials", [None, "3", 1.0])
+def test_fuzz_reduction_reads_a_trial_count_as_range_does(trials):
+    "a trial count that is not an int keeps range's TypeError, before the horizon is read"
+    with pytest.raises(TypeError) as want:
+        range(trials)
+    with pytest.raises(TypeError) as got:
+        fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), trials, -5)
+    assert str(got.value) == str(want.value)

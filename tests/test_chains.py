@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import brute_longest_chain, colliding_rationals
+from helpers import brute_longest_chain, colliding_rationals, index_free
 from orderchains.chains import (
     Sequence,
     constant_subsequence,
@@ -26,11 +26,16 @@ from orderchains.errors import (
     ParseError,
     WitnessIndexError,
 )
+from orderchains.dense import CountableSetStream, dense_embed
 from orderchains.orders import DividesOrder, Element, Order, PrefixOrder, Tag, make_element, make_order
 from orderchains.reductions import TreeGenSpec, generate_tree, make_pipeline, reduce_tree
 
 int_less = make_order("IntLess")
 divides = make_order("Divides")
+
+# The oracle as given, which picks its own index, and the same relation
+# with no index, which gets the generic scan.
+AUTO_AND_GENERIC = pytest.mark.parametrize("oracle", [lambda order: order, index_free], ids=["auto", "generic"])
 
 
 def int_seq(payloads):
@@ -91,15 +96,15 @@ def test_witness_is_lex_least():
     assert witness.indices == (0, 2)
 
 
-@pytest.mark.parametrize("method", ["generic"])
-def test_methods_agree_on_linear_orders(method):
+@pytest.mark.parametrize("reference", [index_free], ids=["generic"])
+def test_methods_agree_on_linear_orders(reference):
     "the ranked index gives the reference scan's length and witness"
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 60)
         seq = int_seq([rng.randint(0, 9) for _ in range(n)])
         want_len, want_idx = longest_chain(seq, int_less)
-        got_len, got_wit = longest_chain(seq, int_less, method=method)
+        got_len, got_wit = longest_chain(seq, reference(int_less))
         assert got_len == want_len
         assert got_wit.indices == want_idx.indices
 
@@ -123,23 +128,44 @@ def test_order_without_lower_links_matches_brute_force():
             assert (length, witness.indices) == brute_longest_chain(seq, order)
 
 
-@pytest.mark.parametrize("method", ["auto", "generic"])
-def test_longest_chain_checks_domain(method):
+@AUTO_AND_GENERIC
+def test_longest_chain_checks_domain(oracle):
     "a sequence from another domain is refused, a single term included"
     rationals = Sequence.from_payloads(Tag.RATIONAL, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
     with pytest.raises(DomainMismatchError):
-        longest_chain(rationals, int_less, method=method)
+        longest_chain(rationals, oracle(int_less))
     with pytest.raises(DomainMismatchError):
-        longest_chain(Sequence.from_payloads(Tag.NAT, [4]), int_less, method=method)
+        longest_chain(Sequence.from_payloads(Tag.NAT, [4]), oracle(int_less))
     with pytest.raises(DomainMismatchError):
-        longest_chain(int_seq([2, 4]), divides, method=method)
+        longest_chain(int_seq([2, 4]), oracle(divides))
 
 
-def test_unknown_method():
-    "only auto and the generic reference can be named"
-    for method in ["fast", "alphabet", "ranked"]:
-        with pytest.raises(ParseError):
-            longest_chain(int_seq([1]), int_less, method=method)
+class StrayLinearFlag(Order):
+    "an oracle outside the package with a total comparison and a stray is_linear flag, which nothing reads"
+
+    name = "StrayLinearFlag"
+    domain = Tag.INT
+    is_linear = True
+
+    def _compare(self, x, y):
+        return int_less._compare(x, y)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_a_linearity_flag_picks_no_index(strict):
+    "an Order subclass is linear only as a LinearOrder: the flag gets the generic scan and a LinearityError"
+    order = StrayLinearFlag(strict)
+    rng = random.Random(13)
+    for _ in range(30):
+        seq = int_seq([rng.randint(0, 5) for _ in range(rng.randint(1, 9))])
+        length, witness = longest_chain(seq, order)
+        assert (length, witness.indices) == brute_longest_chain(seq, order)
+        assert verify_witness(witness.indices, seq, order)
+        assert verify_witness(range(len(seq)), seq, order) == (length == len(seq))
+    with pytest.raises(LinearityError):
+        patience_chain_length(int_seq([1, 2]), order)
+    with pytest.raises(LinearityError):
+        dense_embed([make_element(Tag.INT, 1)], order, CountableSetStream([Fraction(1, 2)]))
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=9))
@@ -194,9 +220,9 @@ def test_every_method_matches_brute_force(case, strict, data):
     payloads = data.draw(st.lists(values, min_size=1, max_size=9))
     seq = Sequence.from_payloads(order.domain, payloads)
     want = brute_longest_chain(seq, order)
-    for method in ["generic", "auto"]:
-        length, witness = longest_chain(seq, order, method=method)
-        assert (length, witness.indices) == want, method
+    for oracle in (index_free(order), order):
+        length, witness = longest_chain(seq, oracle)
+        assert (length, witness.indices) == want, type(oracle)
 
 
 # Partial oracles that carry lower links, with payloads that give both
@@ -229,7 +255,7 @@ def test_linked_index_matches_generic(case, strict, data):
     payloads = data.draw(st.lists(values, min_size=1, max_size=60))
     seq = Sequence.from_payloads(order.domain, payloads)
     length, witness = longest_chain(seq, order)
-    want_len, want_wit = longest_chain(seq, order, method="generic")
+    want_len, want_wit = longest_chain(seq, index_free(order))
     assert (length, witness.indices) == (want_len, want_wit.indices)
 
 
@@ -259,9 +285,9 @@ def test_linked_index_over_keys_matches_brute_force(strict, payloads):
     order = make_order("SubsetWordNat", strict=strict)
     seq = Sequence.from_payloads(Tag.WORD_NAT, payloads)
     want = brute_longest_chain(seq, order)
-    for method in ["generic", "auto"]:
-        length, witness = longest_chain(seq, order, method=method)
-        assert (length, witness.indices) == want, method
+    for oracle in (index_free(order), order):
+        length, witness = longest_chain(seq, oracle)
+        assert (length, witness.indices) == want, type(oracle)
 
 
 @pytest.mark.parametrize("name", ["subset", "binary"])
@@ -273,7 +299,7 @@ def test_linked_index_on_reduction_images(name):
         for horizon in (12, 200):
             image = pipeline.apply(reduce_tree(tree, horizon))
             length, witness = longest_chain(image, pipeline.order)
-            want_len, want_wit = longest_chain(image, pipeline.order, method="generic")
+            want_len, want_wit = longest_chain(image, index_free(pipeline.order))
             assert (length, witness.indices) == (want_len, want_wit.indices)
         small = pipeline.apply(reduce_tree(tree, 12))
         length, witness = longest_chain(small, pipeline.order)
@@ -338,7 +364,7 @@ def test_ranked_index_matches_generic(case, strict, data):
     payloads = data.draw(st.lists(RANKED_CASES[case], min_size=1, max_size=60))
     seq = Sequence.from_payloads(order.domain, payloads)
     length, witness = longest_chain(seq, order)
-    want_len, want_wit = longest_chain(seq, order, method="generic")
+    want_len, want_wit = longest_chain(seq, index_free(order))
     assert (length, witness.indices) == (want_len, want_wit.indices)
 
 
@@ -435,19 +461,19 @@ def _count_elements(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "order, method, payloads",
+    "order, payloads",
     [
-        (int_less, "auto", [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]),
-        (divides, "auto", [6, 2, 3, 12, 4, 24, 5, 48, 7]),
-        (divides, "generic", [6, 2, 3, 12, 4, 24, 5, 48, 7]),
+        (int_less, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]),
+        (divides, [6, 2, 3, 12, 4, 24, 5, 48, 7]),
+        (index_free(divides), [6, 2, 3, 12, 4, 24, 5, 48, 7]),
     ],
     ids=["ranked", "linked", "generic"],
 )
-def test_longest_chain_builds_one_element_per_witness_term(monkeypatch, order, method, payloads):
+def test_longest_chain_builds_one_element_per_witness_term(monkeypatch, order, payloads):
     "each index builds the witness Elements alone"
     seq = Sequence.from_payloads(order.domain, payloads)
     built = _count_elements(monkeypatch)
-    length, witness = longest_chain(seq, order, method=method)
+    length, witness = longest_chain(seq, order)
     assert length >= 3
     assert built[0] == length == len(witness.values)
 
@@ -471,12 +497,12 @@ class _LooseDivides(DividesOrder):
         return True
 
 
-@pytest.mark.parametrize("method", ["auto", "generic"])
-def test_witness_link_the_oracle_refuses_is_a_bug(method):
+@AUTO_AND_GENERIC
+def test_witness_link_the_oracle_refuses_is_a_bug(oracle):
     "the linked and generic rebuilds confirm every witness link through related"
     seq = Sequence.from_payloads(Tag.NAT, [2, 3, 4])
     with pytest.raises(AssertionError, match="Divides"):
-        longest_chain(seq, _LooseDivides(), method=method)
+        longest_chain(seq, oracle(_LooseDivides()))
 
 
 def test_constant_subsequence_earliest_tie():

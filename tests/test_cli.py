@@ -467,6 +467,9 @@ def test_decide_up_literal_input(capsys):
         ("fuzz", "--mean-children", "inf"),
         ("fuzz", "--node-cap", str(orderchains.limits.MAX_NODES + 1)),
         ("fuzz", "--node-cap", "100000000", "--mean-children", "50", "--max-children", "50", "--depth-cap", "30"),
+        ("fuzz", "--trials", "0", "--horizon", "-5"),
+        ("fuzz", "--trials", "-3", "--horizon", "999999999"),
+        ("fuzz", "--trials", "-1"),
     ],
 )
 def test_out_of_range_numbers_exit_two(capsys, tree_file, argv):
