@@ -1,14 +1,12 @@
 """Show the word-to-bits and word-to-rational encoders side by side."""
 
 from orderchains import (
-    Tag,
     double_bits,
     format_bit_word,
     format_dyadic_binary,
     format_nat_word,
     iter_words,
     lex_between,
-    make_element,
     make_order,
     parse_bit_word,
     word_to_bits,
@@ -35,8 +33,8 @@ def main():
     print()
 
     # The rational form orders words exactly like the reverse-lex oracle.
-    elems = [make_element(Tag.WORD_NAT, w) for w, _, _ in rows]
-    by_order = sorted(range(len(rows)), key=lambda i: reverse_lex.sort_key(elems[i]))
+    keys = reverse_lex.sort_keys([w for w, _, _ in rows])
+    by_order = sorted(range(len(rows)), key=keys.__getitem__)
     values = [rows[i][2] for i in by_order]
     print("values sorted by the word order are increasing:", values == sorted(values))
     print()

@@ -65,6 +65,7 @@ from .orders import (
     Order,
     Tag,
     check_domain,
+    check_order,
     format_element,
     parse_payload,
     validate_payloads,
@@ -217,8 +218,7 @@ def _check_args(y, *orders) -> None:
     if not isinstance(y, Sequence):
         raise DomainMismatchError(f"chain functions take a Sequence, got {echo(y, repr)}")
     for order in orders:
-        if not isinstance(order, Order):
-            raise DomainMismatchError(f"chain functions take an Order, got {echo(order, repr)}")
+        check_order(order, "chain functions take")
 
 
 def _value_ids(keys):

@@ -57,14 +57,7 @@ def _parse_interval(line: str) -> tuple[Fraction, Fraction]:
     tokens = line.split()
     if len(tokens) != 2:
         raise ParseError("expected 'lo hi'")
-    try:
-        return orders.parse_rational(tokens[0]), orders.parse_rational(tokens[1])
-    except (ValueError, ZeroDivisionError) as exc:
-        # The message repeats the bad token whole.
-        reason = str(exc)
-        for token in tokens:
-            reason = reason.replace(repr(token), echo(token, repr))
-        raise ParseError(reason) from exc
+    return orders.parse_payload(tokens[0], Tag.RATIONAL), orders.parse_payload(tokens[1], Tag.RATIONAL)
 
 
 def _read_sequence(path: str, tag: Tag) -> chains.Sequence:

@@ -50,7 +50,7 @@ from .errors import (
     read_container,
 )
 from .limits import MAX_DEPTH, MAX_RESOLUTION, MAX_STREAM_VALUES
-from .orders import Element, LinearOrder, Order, Tag, make_element, rational_key, validate_payloads
+from .orders import Element, LinearOrder, Order, Tag, check_order, make_element, rational_key, validate_payloads
 from .trees import iter_words
 from .words import Word, format_bit_word
 
@@ -394,18 +394,25 @@ def dense_embed(
     already-placed neighbours.  The images stay sorted, so no image
     already taken lies strictly between two neighbours.  Runs out of
     budget only if the stream is not dense enough between those images.
+    The oracle, every element and repeats are checked before the first
+    stream value is drawn.
     """
     elems = read_container(elems, "elements to embed")
+    check_order(order, "dense_embed takes")
     if not isinstance(order, LinearOrder):
         raise LinearityError(f"dense_embed needs a linear source order, got {order.name}")
+    seen: set[Element] = set()
+    for el in elems:
+        order.check_element(el)
+        if el in seen:
+            raise DuplicateElementError(f"duplicate source element {echo(el)}")
+        seen.add(el)
+    # One call: keys compare only with keys of the same batch.
+    keys = order.sort_keys([el.value for el in elems])
     images: dict[Element, Fraction] = {}
     placed_keys: list = []
     placed_vals: list[Fraction] = []
-    for el in elems:
-        order.check_element(el)
-        if el in images:
-            raise DuplicateElementError(f"duplicate source element {echo(el)}")
-        key = order.sort_key(el)
+    for el, key in zip(elems, keys):
         pos = bisect.bisect_left(placed_keys, key)
         lo = placed_vals[pos - 1] if pos > 0 else None
         hi = placed_vals[pos] if pos < len(placed_vals) else None

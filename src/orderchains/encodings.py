@@ -64,7 +64,8 @@ def word_to_dyadic(word: Word) -> Fraction:
     prefixes below their extensions.  Words needing more than
     ``MAX_DYADIC_DIGITS`` digits raise before any shift.  A word with a
     negative entry raises too, having written no more digits than its
-    ``len + sum`` counts.
+    ``len + sum`` counts, and so does one with an entry that is not an
+    int, at its first shift.
 
     A run of k entries e writes k copies of the block ``0^e 1``, which
     is the repunit ``(2^(k(e+1)) - 1) / (2^(e+1) - 1)`` in base 2^(e+1):
@@ -74,28 +75,28 @@ def word_to_dyadic(word: Word) -> Fraction:
     """
     try:
         digits = len(word) + sum(word)
-    except TypeError:
+        if digits > MAX_DYADIC_DIGITS:
+            raise DomainMismatchError(
+                f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
+            )
+        num = written = 0
+        for entry, run in groupby(word):
+            step = entry + 1
+            count = len([*run])
+            written += step * count
+            # The runs so far need no more digits than the whole word unless
+            # a negative entry, which lowers ``digits``, lies ahead.
+            if entry < 0 or written > digits:
+                raise DomainMismatchError(_NAT_WORDS_ONLY)
+            if count < step:
+                for _ in range(count):
+                    num = (num << step) | 1
+            else:
+                width = step * count
+                num = (num << width) | ((1 << width) - 1) // ((1 << step) - 1)
+        return Fraction(num, 1 << digits)
+    except TypeError:  # not a sized iterable of ints: shifts take ints alone
         raise DomainMismatchError(_NAT_WORDS_ONLY) from None
-    if digits > MAX_DYADIC_DIGITS:
-        raise DomainMismatchError(
-            f"word_to_dyadic writes at most {MAX_DYADIC_DIGITS} binary digits; this word needs more"
-        )
-    num = written = 0
-    for entry, run in groupby(word):
-        step = entry + 1
-        count = len([*run])
-        written += step * count
-        # The runs so far need no more digits than the whole word unless
-        # a negative entry, which lowers ``digits``, lies ahead.
-        if entry < 0 or written > digits:
-            raise DomainMismatchError(_NAT_WORDS_ONLY)
-        if count < step:
-            for _ in range(count):
-                num = (num << step) | 1
-        else:
-            width = step * count
-            num = (num << width) | ((1 << width) - 1) // ((1 << step) - 1)
-    return Fraction(num, 1 << digits)
 
 
 def format_dyadic_binary(value: Fraction) -> str:

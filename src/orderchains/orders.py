@@ -4,17 +4,22 @@ Each oracle answers a four-valued ``compare`` (LT / EQ / GT /
 INCOMPARABLE) that is independent of strictness; ``related`` projects
 the verdict onto the strict or reflexive reading the oracle was built
 with; ``_compare`` and ``_related`` do the same on unchecked payloads.
-An oracle is linear exactly when it is a ``LinearOrder``, which states
-its order once, as one key per payload that embeds it into Python's
-native comparisons: ``compare`` and ``sort_key`` both derive from that
-key.  The ranked chain pass compares ``sort_keys``, which may trade that
-key for one that orders the same and compares in C: exact ints for
+Each oracle states its order once and derives the rest.  A partial
+oracle states ``_below(x, y)``, whether payload x lies strictly below
+the unequal payload y, from which ``Order._compare`` derives the four
+verdicts.  An oracle is linear exactly when it is a ``LinearOrder``,
+which states one key per payload, ``_key``, that embeds the order into
+Python's native comparisons.  The ranked chain pass and ``dense_embed``
+compare ``sort_keys`` of one batch, which may trade that key for one
+that orders the batch the same and compares in C: exact ints for
 dyadic rationals, bytes for reverse-lex words.  A partial oracle may
-instead list the values below each value through ``lower_links``, which
+also list the values below each value through ``lower_links``, which
 the linked chain index follows: nearest prefixes for the prefix orders,
 proper divisors for Divides.  It lists them over ``link_keys``, which
 may likewise trade each payload for a key that ties the same: bytes for
-prefix words.  Any other oracle gets the generic chain scan.
+prefix words.  Any other oracle gets the generic chain scan.  The name
+and the domain of an oracle are class facts, bar the domain of Delta,
+which is chosen per oracle.
 """
 
 from __future__ import annotations
@@ -252,17 +257,18 @@ def format_element(el: Element) -> str:
 class Order:
     """Base of all comparison oracles.
 
-    Subclasses fix the external ``name``, the domain tag and the payload
-    comparison ``_compare``.  A linear order subclasses ``LinearOrder``;
-    a partial one may list its lower values through ``lower_links``.
+    Subclasses fix the external ``name`` and the domain tag ``domain`` as
+    class attributes, and state the order once: ``_below`` for a partial
+    order, from which ``_compare`` derives the verdicts, or ``_key`` for
+    a linear one, which subclasses ``LinearOrder``.  A partial order may
+    list its lower values through ``lower_links``.  An oracle from
+    outside the package may instead override ``_compare`` whole.
     """
 
     name: str = "?"
 
-    def __init__(self, strict: bool = True, domain: Tag | None = None):
+    def __init__(self, strict: bool = True):
         self.strict = strict
-        if domain is not None:
-            self.domain = domain
 
     def compare(self, a: Element, b: Element) -> Cmp:
         """Four-valued comparison; LT always means strictly below."""
@@ -313,12 +319,29 @@ class Order:
         """
         return None
 
-    def _compare(self, x, y) -> Cmp:
+    def _below(self, x, y) -> bool:
+        """Whether payload x lies strictly below the unequal payload y."""
         raise NotImplementedError
+
+    def _compare(self, x, y) -> Cmp:
+        if x == y:
+            return EQ
+        if self._below(x, y):
+            return LT
+        if self._below(y, x):
+            return GT
+        return INCOMPARABLE
 
     def __repr__(self):
         kind = "strict" if self.strict else "non-strict"
         return f"{self.name}({kind})"
+
+
+def check_order(order, taker: str) -> None:
+    """Raise DomainMismatchError unless ``order`` is an ``Order``; the
+    message opens with ``taker``, as in "chain functions take"."""
+    if not isinstance(order, Order):
+        raise DomainMismatchError(f"{taker} an Order, got {echo(order, repr)}")
 
 
 class LinearOrder(Order):
@@ -334,13 +357,10 @@ class LinearOrder(Order):
             return EQ
         return LT if x < y else GT
 
-    def sort_key(self, el: Element):
-        """Order-embedding key into Python comparisons."""
-        return el.value if self._key is None else self._key(el.value)
-
     def sort_keys(self, payloads):
-        """Keys that order and tie the payloads exactly as ``sort_key``
-        does, by one pass; by default ``sort_key`` itself."""
+        """Keys that order and tie the payloads exactly as ``_key``
+        does, by one pass; by default ``_key`` of each payload.  Keys
+        compare only with keys of the same call."""
         return payloads if self._key is None else list(map(self._key, payloads))
 
 
@@ -350,14 +370,8 @@ class DividesOrder(Order):
     name = "Divides"
     domain = Tag.NAT
 
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        if y % x == 0:
-            return LT
-        if x % y == 0:
-            return GT
-        return INCOMPARABLE
+    def _below(self, x, y):
+        return y % x == 0
 
     def lower_links(self, values):
         """Every proper divisor among ``values``.
@@ -407,10 +421,11 @@ class DeltaOrder(Order):
 
     def __init__(self, strict: bool = True, domain: Tag = Tag.INT):
         check_domain(domain)
-        super().__init__(strict=strict, domain=domain)
+        super().__init__(strict)
+        self.domain = domain
 
-    def _compare(self, x, y):
-        return EQ if x == y else INCOMPARABLE
+    def _below(self, x, y):
+        return False
 
     def lower_links(self, values):
         return [()] * len(values)
@@ -459,25 +474,11 @@ class RatLessOrder(LinearOrder):
 
 
 class PrefixOrder(Order):
-    """Initial-segment order on words: a below b iff a is a prefix of b."""
+    """Initial-segment order on nat-words: a below b iff a is a prefix of b."""
 
-    def __init__(self, strict: bool = True, domain: Tag = Tag.WORD_NAT):
-        if domain not in (Tag.WORD_NAT, Tag.WORD_BIT):
-            raise DomainMismatchError("prefix order is over word domains")
-        super().__init__(strict=strict, domain=domain)
-
-    @property
-    def name(self):
-        return "SubsetWordNat" if self.domain is Tag.WORD_NAT else "SubsetWordBit"
-
-    def _compare(self, x, y):
-        if x == y:
-            return EQ
-        if is_prefix(x, y):
-            return LT
-        if is_prefix(y, x):
-            return GT
-        return INCOMPARABLE
+    name = "SubsetWordNat"
+    domain = Tag.WORD_NAT
+    _below = staticmethod(is_prefix)
 
     def link_keys(self, payloads):
         """Each word as ``bytes`` when every entry is at most 255: they
@@ -511,6 +512,13 @@ class PrefixOrder(Order):
                 links[k] = (open_prefixes[-1],)
             open_prefixes.append(k)
         return links
+
+
+class BitPrefixOrder(PrefixOrder):
+    """Initial-segment order on bit-words."""
+
+    name = "SubsetWordBit"
+    domain = Tag.WORD_BIT
 
 
 _NEGATE_BYTE = bytes(range(255, -1, -1))
@@ -549,30 +557,27 @@ class BitLexOrder(LinearOrder):
     domain = Tag.WORD_BIT
 
 
-# Oracle constructors by external name; ``tag`` is read by Delta alone.
-_ORDERS = {
-    "Divides": lambda strict, tag: DividesOrder(strict),
-    "Delta": lambda strict, tag: DeltaOrder(strict, domain=tag if tag is not None else Tag.INT),
-    "IntLess": lambda strict, tag: IntLessOrder(strict),
-    "SubsetWordNat": lambda strict, tag: PrefixOrder(strict, domain=Tag.WORD_NAT),
-    "SubsetWordBit": lambda strict, tag: PrefixOrder(strict, domain=Tag.WORD_BIT),
-    "RL": lambda strict, tag: ReverseLexOrder(strict),
-    "LexBit": lambda strict, tag: BitLexOrder(strict),
-    "RatLess": lambda strict, tag: RatLessOrder(strict),
-}
-ORDER_NAMES = tuple(_ORDERS)
-_ORDERS_BY_KEY = {name.lower(): build for name, build in _ORDERS.items()}
+_ORDERS = (DividesOrder, DeltaOrder, IntLessOrder, PrefixOrder, BitPrefixOrder, ReverseLexOrder, BitLexOrder, RatLessOrder)
+ORDER_NAMES = tuple(cls.name for cls in _ORDERS)
+_ORDERS_BY_KEY = {cls.name.lower(): cls for cls in _ORDERS}
 
 
 def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
     """Build an oracle by external name (case-insensitive).
 
-    ``tag`` selects the domain for Delta; the rest have fixed domains.
+    ``tag`` selects the domain for Delta (int by default); every other
+    oracle has a fixed domain and refuses any other tag through
+    ``check_tag``.
     """
-    build = _ORDERS_BY_KEY.get(name.lower())
-    if build is None:
+    cls = _ORDERS_BY_KEY.get(name.lower())
+    if cls is None:
         raise ParseError(f"unknown order {echo(name, repr)}; choose one of {', '.join(ORDER_NAMES)}")
-    return build(strict, tag)
+    if cls is DeltaOrder:
+        return DeltaOrder(strict, Tag.INT if tag is None else tag)
+    order = cls(strict)
+    if tag is not None:
+        order.check_tag(tag)
+    return order
 
 
 @dataclass(frozen=True)
@@ -633,6 +638,7 @@ def check_axioms(order: Order, support, axioms=None) -> AxiomReport:
         for ax in axioms:
             if ax not in KNOWN_AXIOMS:
                 raise ParseError(f"unknown axiom {echo(ax, repr)}; known: {', '.join(KNOWN_AXIOMS)}")
+    check_order(order, "check_axioms takes")
     for el in elems:
         order.check_element(el)
     values = [el.value for el in elems]

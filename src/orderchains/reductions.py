@@ -22,7 +22,7 @@ from .chains import Sequence, longest_chain
 from .encodings import double_bits, word_to_bits, word_to_dyadic
 from .errors import ArgumentError, DomainMismatchError, ParseError, echo
 from .limits import MAX_BLOCK, MAX_HORIZON, MAX_NODES
-from .orders import Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
+from .orders import BitPrefixOrder, Element, Order, PrefixOrder, RatLessOrder, ReverseLexOrder, Tag
 from .trees import FiniteTree, block_at, block_of, filler, index_of, iter_words, word_at
 
 
@@ -176,10 +176,10 @@ class ReductionPipeline:
 # Pipeline parts by name: pointwise stages, chain oracle, upper sandwich.
 # The stages are looked up when a pipeline is built.
 _PIPELINES = {
-    "subset": lambda: ((), PrefixOrder(strict=True, domain=Tag.WORD_NAT), True),
+    "subset": lambda: ((), PrefixOrder(strict=True), True),
     "rl": lambda: ((), ReverseLexOrder(strict=True), False),
     "rational": lambda: ((POINTWISE_MAPS["rational"],), RatLessOrder(strict=True), False),
-    "binary": lambda: ((POINTWISE_MAPS["binary"],), PrefixOrder(strict=True, domain=Tag.WORD_BIT), True),
+    "binary": lambda: ((POINTWISE_MAPS["binary"],), BitPrefixOrder(strict=True), True),
 }
 PIPELINE_NAMES = tuple(_PIPELINES)
 

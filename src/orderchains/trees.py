@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .errors import ArgumentError, DomainMismatchError, ParseError, TreePrefixError, echo
 from .limits import MAX_BLOCK, MAX_HORIZON
-from .orders import Tag, validate_payloads
+from .orders import Tag, _valid_payloads, validate_payloads
 from .words import Word, parse_nat_word
 
 
@@ -138,13 +138,14 @@ def index_of(word: Word) -> int:
 
     The earlier blocks and the shorter words of its block come first.
     Then each entry passes the tails of every smaller entry at its place;
-    a smaller entry is never the top one, so they all count alike.
+    a smaller entry is never the top one, so they all count alike.  A
+    value that is not a nat-word by the rule ``Element`` applies (a
+    tuple of ints, each at least 0) raises ``DomainMismatchError``.
     """
-    try:
-        b = block_of(word)
-        length = len(word)
-    except TypeError:
-        raise DomainMismatchError("index_of is defined on words of naturals") from None
+    if not _valid_payloads(Tag.WORD_NAT, (word,)):
+        raise DomainMismatchError("index_of is defined on words of naturals")
+    b = block_of(word)
+    length = len(word)
     if b > MAX_BLOCK:
         raise ArgumentError(f"the enumeration ranks words of length at most {MAX_BLOCK} with entries below {MAX_BLOCK}")
     idx = _words_through(b - 1) + sum(_tails(b, n, False) for n in range(1, length))

@@ -59,8 +59,8 @@ def index_free(order):
     original's name, domain, reading and payload relation, but no sort
     key and no lower links, so ``longest_chain`` gives it the generic
     scan."""
-    free = Order(order.strict, order.domain)
-    free.name = order.name
+    free = Order(order.strict)
+    free.name, free.domain = order.name, order.domain
     free._compare = order._compare
     free._related = order._related
     return free

@@ -168,7 +168,7 @@ def test_criterion_03_encoder_bi_monotonicity():
     # The rational encoder respects the word order on every pair exactly
     # when the word list sorted by the order maps to a strictly
     # increasing value list; strictness also gives injectivity.
-    keyed = sorted(words, key=lambda w: reverse_lex.sort_key(make_element(Tag.WORD_NAT, w)))
+    keyed = sorted(words, key=dict(zip(words, reverse_lex.sort_keys(words))).__getitem__)
     values = [word_to_dyadic(w) for w in keyed]
     rational_ok = all(a < b for a, b in zip(values, values[1:]))
     if not rational_ok:

@@ -8,6 +8,7 @@ import pytest
 
 from orderchains.chains import (
     Sequence,
+    UPSequence,
     constant_subsequence,
     longest_chain,
     patience_chain_length,
@@ -30,6 +31,7 @@ from orderchains.errors import (
     ArgumentOrderError,
     DomainMismatchError,
     DuplicateElementError,
+    EmptySequenceError,
     ParseError,
     SchemeError,
     SearchBudgetError,
@@ -38,7 +40,7 @@ from orderchains.errors import (
     WitnessIndexError,
     echo,
 )
-from orderchains.limits import ECHO_LIMIT, MAX_STREAM_VALUES
+from orderchains.limits import ECHO_LIMIT, MAX_RESOLUTION, MAX_STREAM_VALUES
 from orderchains.orders import (
     Element,
     IntLessOrder,
@@ -58,7 +60,7 @@ from orderchains.reductions import (
     make_pipeline,
     reduce_tree,
 )
-from orderchains.trees import MAX_HORIZON, filler, index_of, validate_tree
+from orderchains.trees import MAX_HORIZON, filler, index_of, validate_tree, word_at
 
 # Past the interpreter's digit limit for int -> str (4 300 by default),
 # so str() and repr() of it raise ValueError.
@@ -186,9 +188,15 @@ NOT_A_WORD = {
     "word_to_bits int": lambda: word_to_bits(5),
     "word_to_bits str": lambda: word_to_bits("ab"),
     "word_to_bits entry": lambda: word_to_bits((1, None)),
+    "word_to_dyadic float entry": lambda: word_to_dyadic((0.5,)),
+    "word_to_dyadic complex entry": lambda: word_to_dyadic((1j,)),
     "index_of None": lambda: index_of(None),
     "index_of str": lambda: index_of("ab"),
     "index_of entry": lambda: index_of((1, None)),
+    "index_of negative entry": lambda: index_of((-1,)),
+    "index_of later negative entry": lambda: index_of((1, -2)),
+    "index_of float entry": lambda: index_of((0.5,)),
+    "index_of bool entry": lambda: index_of((True,)),
 }
 
 
@@ -202,8 +210,9 @@ def _ints(*payloads):
     return Sequence.from_payloads(Tag.INT, payloads)
 
 
-# A sequence that is not a ``Sequence``, or an oracle that is not an
-# ``Order``, at the chain functions.
+# A sequence that is not a ``Sequence`` at the chain functions, and an
+# oracle that is not an ``Order`` there and at ``dense_embed`` and
+# ``check_axioms``.
 NOT_A_SEQUENCE = {
     "longest_chain": lambda: longest_chain(None, IntLessOrder()),
     "longest_chain payloads": lambda: longest_chain([1, 2], IntLessOrder()),
@@ -217,6 +226,43 @@ NOT_AN_ORDER = {
     "longest_chain name": lambda: longest_chain(_ints(1, 2), "IntLess"),
     "patience_chain_length": lambda: patience_chain_length(_ints(1, 2), None),
     "verify_witness": lambda: verify_witness([0, 1], _ints(1, 2), None),
+    "dense_embed": lambda: dense_embed([Element(Tag.INT, 1)], None, dyadic_stream()),
+    "dense_embed name": lambda: dense_embed([Element(Tag.INT, 1)], "IntLess", dyadic_stream()),
+    "check_axioms": lambda: check_axioms(None, [Element(Tag.INT, 1)]),
+    "check_axioms name": lambda: check_axioms("IntLess", [Element(Tag.INT, 1)]),
+}
+
+
+class _OverlappingStages:
+    """A stage oracle whose every stage has two overlapping components."""
+
+    def stage(self, k):
+        return ((Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(1)))
+
+    def components(self, k):
+        return 2
+
+
+# Refusals that each function documents, with their type and text.
+DOCUMENTED_REFUSALS = {
+    "constant_subsequence empty": (
+        EmptySequenceError, "constant_subsequence needs a non-empty sequence", lambda: constant_subsequence(_ints()),
+    ),
+    "UPSequence mixed tags": (
+        DomainMismatchError, "prefix and cycle must share a domain tag",
+        lambda: UPSequence(_ints(1), Sequence.from_payloads(Tag.NAT, [1])),
+    ),
+    "build_scheme past MAX_RESOLUTION": (
+        SchemeError, f"no stage below resolution {MAX_RESOLUTION} has 2^2 components",
+        lambda: build_scheme(FixedStages([(0, 1)]), 1),
+    ),
+    "build_scheme overlapping components": (
+        SchemeError, "stage components must be disjoint and sorted", lambda: build_scheme(_OverlappingStages(), 0),
+    ),
+    "format_dyadic_binary above 1": (
+        DomainMismatchError, "binary expansion expects a value in [0, 1)", lambda: format_dyadic_binary(Fraction(3, 2)),
+    ),
+    "word_at negative": (ArgumentError, "enumeration index must be non-negative", lambda: word_at(-1)),
 }
 
 
@@ -228,8 +274,20 @@ def test_a_sequence_that_is_not_a_sequence_raises_domain_mismatch(intake):
 
 @pytest.mark.parametrize("intake", sorted(NOT_AN_ORDER))
 def test_an_oracle_that_is_not_an_order_raises_domain_mismatch(intake):
-    with pytest.raises(DomainMismatchError, match="chain functions take an Order, got"):
+    "each taker refuses it by one check, which names the taker"
+    taker = {"dense_embed": "dense_embed takes", "check_axioms": "check_axioms takes"}.get(
+        intake.split()[0], "chain functions take"
+    )
+    with pytest.raises(DomainMismatchError, match=f"^{taker} an Order, got"):
         NOT_AN_ORDER[intake]()
+
+
+@pytest.mark.parametrize("intake", sorted(DOCUMENTED_REFUSALS))
+def test_documented_refusals_keep_their_type_and_text(intake):
+    error, message, call = DOCUMENTED_REFUSALS[intake]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,7 @@ class LinklessDivides(Order):
 
     name = "LinklessDivides"
     domain = Tag.NAT
-    _compare = DividesOrder._compare
+    _below = DividesOrder._below
 
 
 def test_order_without_lower_links_matches_brute_force():
@@ -545,6 +545,14 @@ def test_sequence_equality_is_tag_and_payloads(a, b):
         assert hash(sa) == hash(sb)
     built = Sequence(a[0], tuple(make_element(a[0], p) for p in a[1]))
     assert built == sa and hash(built) == hash(sa)
+
+
+def test_sequence_is_never_equal_to_another_type():
+    "a Sequence leaves == with another type to it, so it equals neither its payloads nor its elements"
+    seq = Sequence.from_payloads(Tag.INT, [1])
+    assert seq.__eq__((1,)) is NotImplemented
+    assert not seq == (1,) and seq != (1,)
+    assert seq != seq.items
 
 
 @pytest.mark.parametrize(

@@ -326,7 +326,8 @@ def test_huge_exponent_exit_two(capsys, tmp_path, command):
     argv = ("classify", str(path)) if command == "classify" else ("cantor", "--set", str(path), "--depth", "1")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {path}:1: " + ("bad rational token '1e100000000': " if command == "classify" else "") + (
+    assert err == (
+        f"error: {path}:1: bad rational token '1e100000000': "
         f"exponent of '1e100000000' is above {sys.get_int_max_str_digits()} in magnitude\n"
     )
 
@@ -393,8 +394,17 @@ def test_cantor_extract_golden(capsys, extract):
     "text, message",
     [
         ("0 1/4\n1/2 1 3\n", "{path}:2: expected 'lo hi'"),
-        ("0 1/4\nx 1\n", "{path}:2: Invalid literal for Fraction: 'x'"),
-        ("1/0 1/4\n", "{path}:1: Fraction(1, 0)"),
+        # the ids keep the case names from before the bad-token prefix
+        pytest.param(
+            "0 1/4\nx 1\n",
+            "{path}:2: bad rational token 'x': Invalid literal for Fraction: 'x'",
+            id="0 1/4\nx 1\n-{path}:2: Invalid literal for Fraction: 'x'",
+        ),
+        pytest.param(
+            "1/0 1/4\n",
+            "{path}:1: bad rational token '1/0': Fraction(1, 0)",
+            id="1/0 1/4\n-{path}:1: Fraction(1, 0)",
+        ),
         ("0 1/2\n1/4 1\n", "stage intervals must be disjoint and sorted"),
     ],
 )
@@ -518,6 +528,22 @@ def test_check_axioms_delta_needs_tag(capsys, tmp_path):
     )
     assert code == 0
     assert "no violations" in out
+
+
+@pytest.mark.parametrize(
+    "order, tag, domain", [("IntLess", "word", "int"), ("SubsetWordNat", "bits", "word"), ("Divides", "int", "nat")]
+)
+def test_a_tag_other_than_the_orders_own_is_refused(capsys, tmp_path, order, tag, domain):
+    "only Delta reads --tag; any other oracle accepts its own tag alone"
+    path = tmp_path / "seq.txt"
+    path.write_text("1 2 3\n")
+    assert run(capsys, "analyze", str(path), "--order", order, "--tag", tag) == (
+        2, "", f"error: {order} compares {domain} elements, got {tag}\n"
+    )
+    if domain != "word":
+        plain = run(capsys, "analyze", str(path), "--order", order)
+        assert plain[0] == 0
+        assert run(capsys, "analyze", str(path), "--order", order, "--tag", domain) == plain
 
 
 def test_flags_do_not_carry_over_between_calls(capsys, tmp_path):

@@ -398,6 +398,30 @@ def test_dense_embed_rejects_duplicates():
         dense_embed([el, el], order, dyadic_stream())
 
 
+def _undrawable():
+    "A stream whose first draw fails the test."
+    return CountableSetStream(pytest.fail("drew a stream value") for _ in range(1))
+
+
+@pytest.mark.parametrize(
+    "payloads, error",
+    [([0, None], DomainMismatchError), ([0, 1, 0], DuplicateElementError)],
+)
+def test_dense_embed_checks_every_element_before_any_draw(payloads, error):
+    "a bad element or a repeat is refused before the first stream value is drawn"
+    elems = [make_element(Tag.INT, v) if v is not None else v for v in payloads]
+    with pytest.raises(error):
+        dense_embed(elems, make_order("IntLess"), _undrawable())
+
+
+def test_dense_embed_keys_the_elements_as_one_batch():
+    "RatLess int keys are scaled by the batch's largest denominator, so the images still follow the order"
+    order = RatLessOrder()
+    elems = [make_element(Tag.RATIONAL, v) for v in (F(1, 2), F(3, 4), F(5, 8), F(1), F(9, 16))]
+    images = dense_embed(elems, order, dyadic_stream())
+    assert sorted(elems, key=images.__getitem__) == sorted(elems, key=lambda e: e.value)
+
+
 def test_dense_embed_budget_exhaustion():
     "a stream thinning out above 1/2 cannot host a second element"
     order = make_order("IntLess")

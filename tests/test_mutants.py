@@ -43,7 +43,7 @@ from test_keys import (
     check_word_to_bits,
     check_word_to_dyadic,
 )
-from test_orders import check_element
+from test_orders import DIVIDES_VERDICTS, PREFIX_VERDICTS, check_element, check_verdict
 
 rng = random.Random(2)
 WORDS = [tuple(rng.randrange(4) for _ in range(rng.randrange(5))) for _ in range(40)]
@@ -190,6 +190,11 @@ MUTANTS = {
     "verify_witness reading strict keys as non-strict": (
         chains, "verify_witness", "lt if order.strict else le", "le",
         check_verify_witness, INT_WITNESSES,
+    ),
+    "derived compare testing below(x, y) where GT needs below(y, x)": (
+        orders.Order, "_compare", "if self._below(y, x):", "if self._below(x, y):",
+        check_verdict,
+        [("Divides", Tag.NAT, *v) for v in DIVIDES_VERDICTS] + [("SubsetWordNat", Tag.WORD_NAT, *v) for v in PREFIX_VERDICTS],
     ),
     "element entry rule without its upper bound": (
         orders, "_valid_entries", "(hi is None or max(values) <= hi)", "True",

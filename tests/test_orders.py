@@ -41,21 +41,32 @@ def elems(tag, payloads):
     return [make_element(tag, p) for p in payloads]
 
 
-@pytest.mark.parametrize(
-    "a,b,want",
-    [
-        (2, 6, LT),
-        (6, 2, GT),
-        (4, 4, EQ),
-        (4, 6, INCOMPARABLE),
-        (1, 7, LT),
-    ],
-)
+DIVIDES_VERDICTS = [
+    (2, 6, LT),
+    (6, 2, GT),
+    (4, 4, EQ),
+    (4, 6, INCOMPARABLE),
+    (1, 7, LT),
+]
+PREFIX_VERDICTS = [
+    ((), (0,), LT),
+    ((0,), (0, 3), LT),
+    ((0, 3), (0,), GT),
+    ((1,), (2,), INCOMPARABLE),
+    ((0, 1), (0, 1), EQ),
+]
+
+
+def check_verdict(name, tag, a, b, want):
+    "the named oracle's verdict on the pair"
+    ea, eb = elems(tag, [a, b])
+    assert make_order(name).compare(ea, eb) is want
+
+
+@pytest.mark.parametrize("a,b,want", DIVIDES_VERDICTS)
 def test_divides_verdicts(a, b, want):
     "divisibility compares by the divides relation"
-    order = make_order("Divides")
-    ea, eb = elems(Tag.NAT, [a, b])
-    assert order.compare(ea, eb) is want
+    check_verdict("Divides", Tag.NAT, a, b, want)
 
 
 def test_divides_rejects_zero():
@@ -86,21 +97,10 @@ def test_delta_relates_only_equal_values():
     assert not make_order("Delta", strict=True, tag=Tag.INT).related(a, b)
 
 
-@pytest.mark.parametrize(
-    "a,b,want",
-    [
-        ((), (0,), LT),
-        ((0,), (0, 3), LT),
-        ((0, 3), (0,), GT),
-        ((1,), (2,), INCOMPARABLE),
-        ((0, 1), (0, 1), EQ),
-    ],
-)
+@pytest.mark.parametrize("a,b,want", PREFIX_VERDICTS)
 def test_prefix_order_verdicts(a, b, want):
     "initial segments sit below their extensions"
-    order = make_order("SubsetWordNat")
-    ea, eb = elems(Tag.WORD_NAT, [a, b])
-    assert order.compare(ea, eb) is want
+    check_verdict("SubsetWordNat", Tag.WORD_NAT, a, b, want)
 
 
 @pytest.mark.parametrize(
@@ -167,7 +167,7 @@ def test_reverse_lex_sort_key_embeds(a, b):
     order = make_order("RL")
     ea, eb = elems(Tag.WORD_NAT, [a, b])
     verdict = order.compare(ea, eb)
-    ka, kb = order.sort_key(ea), order.sort_key(eb)
+    ka, kb = order.sort_keys([a, b])
     assert (verdict is LT) == (ka < kb)
     assert (verdict is EQ) == (ka == kb)
 
@@ -178,7 +178,7 @@ def test_bit_lex_sort_key_embeds(a, b):
     order = make_order("LexBit")
     ea, eb = elems(Tag.WORD_BIT, [a, b])
     verdict = order.compare(ea, eb)
-    ka, kb = order.sort_key(ea), order.sort_key(eb)
+    ka, kb = order.sort_keys([a, b])
     assert (verdict is LT) == (ka < kb)
     assert (verdict is EQ) == (ka == kb)
 
@@ -199,7 +199,7 @@ def test_rat_less_matches_python_on_float_ties(a, b):
     ea, eb = elems(Tag.RATIONAL, [a, b])
     want = EQ if a == b else LT if a < b else GT
     assert order.compare(ea, eb) is want
-    ka, kb = order.sort_key(ea), order.sort_key(eb)
+    ka, kb = order.sort_keys([a, b])
     assert (ka < kb, ka == kb) == (a < b, a == b)
 
 
@@ -216,6 +216,18 @@ def test_make_order_case_insensitive(name):
     assert make_order(name).name.lower() == name.lower()
 
 
+@pytest.mark.parametrize("name", [name for name in ORDER_NAMES if name != "Delta"])
+def test_make_order_refuses_a_tag_other_than_the_oracles_own(name):
+    "Delta alone reads the tag; every other oracle takes its own domain's tag and refuses the rest"
+    domain = make_order(name).domain
+    assert make_order(name, tag=domain).domain is domain
+    for tag in Tag:
+        if tag is not domain:
+            with pytest.raises(DomainMismatchError) as info:
+                make_order(name, tag=tag)
+            assert str(info.value) == f"{name} compares {domain} elements, got {tag}"
+
+
 def test_make_order_unknown_name():
     with pytest.raises(ParseError):
         make_order("nosuch")
@@ -230,7 +242,10 @@ def test_make_order_name_table_golden():
             assert make_order(spelling, strict=False).strict is False
     assert make_order("delta").domain is Tag.INT
     assert make_order("Delta", tag=Tag.WORD_BIT).domain is Tag.WORD_BIT
-    assert make_order("IntLess", tag=Tag.WORD_BIT).domain is Tag.INT
+    assert make_order("IntLess", tag=Tag.INT).domain is Tag.INT
+    with pytest.raises(DomainMismatchError) as info:
+        make_order("IntLess", tag=Tag.WORD_BIT)
+    assert str(info.value) == "IntLess compares int elements, got bits"
     with pytest.raises(ParseError) as info:
         make_order("Nope")
     assert str(info.value) == (
@@ -529,6 +544,23 @@ def test_check_axioms_refuses_a_support_past_the_cap():
     support = [make_element(Tag.INT, 0)] * (MAX_AXIOM_SUPPORT + 1)
     with pytest.raises(ArgumentError, match=f"at most {MAX_AXIOM_SUPPORT} support elements"):
         check_axioms(order, support)
+
+
+@pytest.mark.parametrize(
+    "support, axioms, error, text",
+    [
+        (None, None, DomainMismatchError, "cannot read axiom support"),
+        ([make_element(Tag.INT, 0)] * (MAX_AXIOM_SUPPORT + 1), None, ArgumentError, "at most"),
+        ([], ("density",), ParseError, "unknown axiom 'density'"),
+        ([make_element(Tag.INT, 0)], None, DomainMismatchError, "check_axioms takes an Order, got None"),
+    ],
+    ids=["container", "cap", "axiom", "oracle"],
+)
+def test_check_axioms_checks_the_oracle_after_its_other_arguments(support, axioms, error, text):
+    "a missing oracle is reported only after the support and the axiom names pass"
+    with pytest.raises(error) as info:
+        check_axioms(None, support, axioms)
+    assert type(info.value) is error and text in str(info.value)
 
 
 @pytest.mark.parametrize(
