@@ -20,7 +20,7 @@ def main():
 
     seq = Sequence.from_payloads(Tag.NAT, [6, 2, 3, 4, 8, 9, 16])
     length, witness = longest_chain(seq, divides)
-    print("sequence:", [e.value for e in seq])
+    print("sequence:", list(seq.payloads()))
     print("longest divisibility chain:", length)
     print("witness:", format_witness(witness))
     print()
@@ -28,7 +28,7 @@ def main():
     # Patience sorting gives the same length on linear oracles.
     ints = Sequence.from_payloads(Tag.INT, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
     dp_len, _ = longest_chain(ints, int_less)
-    print("integer sequence:", [e.value for e in ints])
+    print("integer sequence:", list(ints.payloads()))
     print("longest increasing chain:", dp_len)
     print("patience check:", patience_chain_length(ints, int_less))
 

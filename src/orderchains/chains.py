@@ -1,15 +1,14 @@
 """Chain detection in finite sequences.
 
 A ``Sequence`` is a domain tag and one tuple of payloads.  Payloads are
-validated once, where data enters: ``Sequence(tag, elements)`` checks
-each element's tag, ``Sequence.from_payloads`` checks the payloads in
-bulk, and ``parse_sequence`` reads valid payloads only.  Sequences the
-library derives from checked ones (``reduce_tree``, ``lift_map``,
+validated once, where data enters: ``Sequence(tag, payloads)`` (also
+spelled ``Sequence.from_payloads``) checks the payloads in bulk, and
+``parse_sequence`` reads valid payloads only.  Sequences the library
+derives from checked ones (``reduce_tree``, ``lift_map``,
 ``UPSequence.unroll``) are built from payloads with no second check.
-``items`` gives the terms as ``Element`` objects, built on first use and
-kept, for callers that want them.  The chain kernels compare payloads,
-after one tag check per sequence, and build an ``Element`` only for a
-term they return: the witness values, the constant value or a cycle.
+The chain kernels compare payloads, after one tag check per sequence,
+and build an ``Element`` only for a term they return: the witness
+values, the constant value or a cycle.
 
 A chain witness is a strictly increasing index vector whose consecutive
 values are related under the oracle; relatedness is only required
@@ -64,7 +63,6 @@ from .orders import (
     LinearOrder,
     Order,
     Tag,
-    check_domain,
     check_order,
     format_element,
     parse_payload,
@@ -75,31 +73,23 @@ from .orders import (
 class Sequence:
     """A finite sequence of payloads sharing one domain tag.
 
-    ``Sequence(tag, elements)`` takes ``Element`` objects and raises
-    ``DomainMismatchError`` on a tag that is not a ``Tag``, on an element
-    of another tag and on anything that is not an ``Element``;
-    ``from_payloads`` takes raw payloads.  Two sequences are equal
-    exactly when their tags and payloads are.
+    ``Sequence(tag, payloads)`` reads the payloads as
+    ``validate_payloads`` does: in bulk, with ``make_element``'s
+    spellings and errors, and ``DomainMismatchError`` for a tag that is
+    not a ``Tag`` or a container it cannot read.  Two sequences are
+    equal exactly when their tags and payloads are.
     """
 
-    __slots__ = ("_tag", "_payloads", "_items")
+    __slots__ = ("_tag", "_payloads")
 
-    def __init__(self, tag: Tag, items):
-        check_domain(tag)
-        items = read_container(items, "sequence elements")
-        for el in items:
-            if not isinstance(el, Element):
-                raise DomainMismatchError(f"sequence tagged {echo(tag)} takes elements, got {echo(el, repr)}")
-            if el.tag is not tag:
-                raise DomainMismatchError(f"sequence tagged {echo(tag)} contains a {echo(el.tag)} element")
+    def __init__(self, tag: Tag, payloads):
         self._tag = tag
-        self._payloads = tuple(el.value for el in items)
-        self._items = items
+        self._payloads = validate_payloads(tag, payloads)
 
     @classmethod
     def from_payloads(cls, tag: Tag, payloads) -> "Sequence":
-        """Check raw payloads in bulk, as ``validate_payloads`` does."""
-        return cls._trusted(tag, validate_payloads(tag, payloads))
+        """The same as ``Sequence(tag, payloads)``."""
+        return cls(tag, payloads)
 
     @classmethod
     def _trusted(cls, tag: Tag, payloads: tuple) -> "Sequence":
@@ -107,32 +97,17 @@ class Sequence:
         seq = object.__new__(cls)
         seq._tag = tag
         seq._payloads = payloads
-        seq._items = None
         return seq
 
     @property
     def tag(self) -> Tag:
         return self._tag
 
-    @property
-    def items(self) -> tuple[Element, ...]:
-        """The terms as elements, built on first use and kept."""
-        if self._items is None:
-            tag = self._tag
-            self._items = tuple(Element(tag, p) for p in self._payloads)
-        return self._items
-
     def payloads(self) -> tuple:
         return self._payloads
 
     def __len__(self):
         return len(self._payloads)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -24,8 +24,8 @@ numerators over 3^k, made into ``Fraction``s only when asked for.  The
 stage oracles keep no state; a stream keeps only the prefix it has drawn.
 
 A rational a caller hands in is read by the rational rule of
-``orders.make_element``; this module builds ``Fraction``s only from ints
-it computes itself.
+``orders.make_element``, which refuses an ``Element``; this module builds
+``Fraction``s only from ints it computes itself.
 """
 
 from __future__ import annotations
@@ -339,21 +339,14 @@ def persistently_approaches(values, g: Fraction, anchors) -> bool:
     last position there must be a hit beyond N; windows that start at or
     after the last position are outside the horizon and are not checked.
     Both ask only that the sequence is non-empty and its last value is
-    a hit.  The values (or ``Element`` payloads), g and the anchors are
-    read as ``orders.validate_payloads`` reads rationals.
+    a hit.  The values, g and the anchors are read as
+    ``orders.validate_payloads`` reads rationals, so an ``Element`` is
+    refused like any other value that is not a rational.
     """
-    vals = validate_payloads(Tag.RATIONAL, _unwrapped(values))
+    vals = validate_payloads(Tag.RATIONAL, values)
     g = make_element(Tag.RATIONAL, g).value
     anchors = validate_payloads(Tag.RATIONAL, anchors)
     return all(vals and a < vals[-1] <= g for a in anchors if a < g)
-
-
-def _unwrapped(values):
-    """The values with each ``Element`` read as its payload.  A generator
-    function, so a container that is not iterable fails only when
-    ``validate_payloads`` reads it."""
-    for v in values:
-        yield v.value if isinstance(v, Element) else v
 
 
 def splitting_depth(elems) -> int:

@@ -9,6 +9,14 @@ Both encoders take O(runs) Python steps, walking a word by runs of
 equal entries, so a filler ``1^n 0`` of the reduction takes O(1) of
 them at any n; the C work of ``word_to_dyadic`` grows as runs times
 digits, since each run shifts the whole numerator built so far.
+
+The encoders read a word's entries by value: a list reads as its tuple
+and a bool entry as 0 or 1, so ``word_to_dyadic([1, 2])`` is
+``word_to_dyadic((1, 2))`` and ``word_to_dyadic((True, 0))`` is
+``word_to_dyadic((1, 0))``.  ``Element`` and ``index_of`` refuse both.
+The encoders do not, since ``Element``'s check would cost as much as
+the encoding, and a check per run would miss a bool that ``groupby``
+folds into a run of 1s.
 """
 
 from __future__ import annotations

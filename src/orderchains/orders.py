@@ -567,9 +567,9 @@ def make_order(name: str, strict: bool = True, tag: Tag | None = None) -> Order:
 
     ``tag`` selects the domain for Delta (int by default); every other
     oracle has a fixed domain and refuses any other tag through
-    ``check_tag``.
+    ``check_tag``.  A name that is not a ``str`` is unknown.
     """
-    cls = _ORDERS_BY_KEY.get(name.lower())
+    cls = _ORDERS_BY_KEY.get(name.lower()) if isinstance(name, str) else None
     if cls is None:
         raise ParseError(f"unknown order {echo(name, repr)}; choose one of {', '.join(ORDER_NAMES)}")
     if cls is DeltaOrder:

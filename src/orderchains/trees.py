@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, product
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import ArgumentError, DomainMismatchError, ParseError, TreePrefixError, echo
@@ -126,7 +127,10 @@ _INDEX_CAP = _words_through(MAX_BLOCK)  # the first index past block MAX_BLOCK
 
 
 def block_at(n: int) -> int:
-    """The block of the n-th word, block_of(word_at(n))."""
+    """The block of the n-th word, block_of(word_at(n)).  The position is
+    read by ``operator.index``, so one that is not an int (a float, say)
+    raises ``TypeError`` and a bool reads as 0 or 1."""
+    n = index(n)
     if n >= _INDEX_CAP:
         raise ArgumentError(f"enumeration index past block {MAX_BLOCK}, the last the enumeration ranks")
     # Blocks 0..b hold over b**b >= 2**b words, so bisect below max(bits of n, 2).
@@ -157,7 +161,9 @@ def index_of(word: Word) -> int:
 
 
 def word_at(n: int) -> Word:
-    """Inverse of index_of, spending the same counts from the front."""
+    """Inverse of index_of, spending the same counts from the front; the
+    position is read as ``block_at`` reads it."""
+    n = index(n)
     if n < 0:
         raise ArgumentError("enumeration index must be non-negative")
     b = block_at(n)

@@ -7,7 +7,7 @@ from itertools import accumulate, chain, combinations, islice, product
 
 import hypothesis.strategies as st
 
-from orderchains.orders import Order, Tag
+from orderchains.orders import Element, Order, Tag
 
 # Rationals whose floats tie: 1/3 plus small multiples of 2**-60 round
 # to one float, 10**400 and beyond overflow to +-inf, and 10**-400 and
@@ -45,7 +45,7 @@ def brute_longest_chain(seq, order):
     yields tuples in lexicographic order, so the first valid one is the
     least.  Only usable for small sequences.
     """
-    items = list(seq)
+    items = [Element(seq.tag, p) for p in seq.payloads()]
     n = len(items)
     for length in range(n, 0, -1):
         for idx in combinations(range(n), length):
@@ -68,7 +68,7 @@ def index_free(order):
 
 def brute_chain_length(seq, order):
     """Exhaustive longest chain length by forward dynamic programming."""
-    items = list(seq)
+    items = [Element(seq.tag, p) for p in seq.payloads()]
     n = len(items)
     if n == 0:
         raise AssertionError("empty sequence")

@@ -56,11 +56,12 @@ from orderchains.reductions import (
     PointwiseMap,
     TreeGenSpec,
     fuzz_reduction,
+    image_at,
     lift_map,
     make_pipeline,
     reduce_tree,
 )
-from orderchains.trees import MAX_HORIZON, filler, index_of, validate_tree, word_at
+from orderchains.trees import MAX_HORIZON, block_at, filler, index_of, validate_tree, word_at
 
 # Past the interpreter's digit limit for int -> str (4 300 by default),
 # so str() and repr() of it raise ValueError.
@@ -73,6 +74,7 @@ BAD_RATIONALS = ["x", None, "1e5000"]
 RATIONAL_INTAKES = {
     "make_element": lambda v: make_element(Tag.RATIONAL, v),
     "from_payloads": lambda v: Sequence.from_payloads(Tag.RATIONAL, [v]),
+    "Sequence": lambda v: Sequence(Tag.RATIONAL, [v]),
     "stream": lambda v: CountableSetStream([v]).value(0),
     "splitting_depth": lambda v: splitting_depth([Fraction(0), v]),
     "FixedStages": lambda v: FixedStages([(0, v)]),
@@ -134,9 +136,13 @@ def test_witness_index_true_reads_as_one():
     assert verify_witness([0, True], Sequence.from_payloads(Tag.INT, [1, 2]), IntLessOrder())
 
 
-def test_sequence_of_non_elements_raises_domain_mismatch():
-    with pytest.raises(DomainMismatchError, match="takes elements, got 1"):
-        Sequence(Tag.INT, [1, 2])
+def test_sequence_of_elements_raises_domain_mismatch():
+    "a Sequence takes payloads: an Element is refused as make_element refuses it"
+    assert Sequence(Tag.INT, [1, 2]).payloads() == (1, 2)
+    with pytest.raises(DomainMismatchError, match=r"int elements are integers, got Element\("):
+        Sequence(Tag.INT, [Element(Tag.INT, 1)])
+    with pytest.raises(DomainMismatchError, match=r"cannot read int payloads: 'NoneType' object is not iterable"):
+        Sequence(Tag.INT, None)
 
 
 # A tag that is not a ``Tag`` has no domain rules, so every intake that
@@ -343,6 +349,7 @@ HUGE_ECHOES = {
     "Element": (DomainMismatchError, lambda: Element(Tag.NAT, -HUGE)),
     "make_element": (DomainMismatchError, lambda: make_element(Tag.NAT, -HUGE)),
     "from_payloads": (DomainMismatchError, lambda: Sequence.from_payloads(Tag.INT, [1, Fraction(1, HUGE)])),
+    "Sequence": (DomainMismatchError, lambda: Sequence(Tag.INT, [1, Fraction(1, HUGE)])),
     "stream range": (StreamError, lambda: CountableSetStream([Fraction(HUGE)]).value(0)),
     "stream repeat": (StreamError, lambda: CountableSetStream([Fraction(1, HUGE)] * 2).value(1)),
     "stream index": (ArgumentError, lambda: CountableSetStream([]).value(-HUGE)),
@@ -571,3 +578,32 @@ def test_fuzz_reduction_reads_a_trial_count_as_range_does(trials):
     with pytest.raises(TypeError) as got:
         fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=0), trials, -5)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", [None, 5, ["x"], b"Divides"], ids=["None", "int", "list", "bytes"])
+def test_an_order_name_that_is_not_a_string_is_unknown(name):
+    "make_order refuses a name that is not a str as it refuses an unknown one, quoting it through echo"
+    with pytest.raises(ParseError, match=r"^unknown order .*; choose one of Divides, ") as got:
+        make_order(name)
+    assert str(got.value).startswith(f"unknown order {echo(name, repr)}; ")
+
+
+POSITION_INTAKES = {
+    "word_at": word_at,
+    "block_at": block_at,
+    "image_at": lambda n: image_at(validate_tree([(), (0,)]), n),
+}
+
+
+@pytest.mark.parametrize("position", [1.5, 2.0, Fraction(3), "1"], ids=["1.5", "2.0", "Fraction", "str"])
+@pytest.mark.parametrize("intake", sorted(POSITION_INTAKES))
+def test_an_enumeration_position_that_is_not_an_int_raises_type_error(intake, position):
+    "a position is read by operator.index, so one that is not an int raises TypeError as README allows"
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        POSITION_INTAKES[intake](position)
+
+
+@pytest.mark.parametrize("intake", sorted(POSITION_INTAKES))
+def test_an_enumeration_position_that_is_a_bool_reads_as_0_or_1(intake):
+    call = POSITION_INTAKES[intake]
+    assert call(False) == call(0) and call(True) == call(1)

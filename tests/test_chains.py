@@ -527,8 +527,14 @@ def test_parse_sequence_round_trip():
 
 
 def test_sequence_rejects_mixed_tags():
-    with pytest.raises(DomainMismatchError):
-        Sequence(Tag.INT, (make_element(Tag.INT, 1), make_element(Tag.NAT, 1)))
+    "a payload of another domain, or an Element of any tag, is not a payload of the sequence's tag"
+    with pytest.raises(DomainMismatchError, match="nat elements are integers >= 1, got -1"):
+        Sequence(Tag.NAT, [1, -1])
+    with pytest.raises(DomainMismatchError, match="bit-word elements are tuples over"):
+        Sequence(Tag.WORD_BIT, [(0, 1), (2,)])
+    for tag in (Tag.INT, Tag.NAT):
+        with pytest.raises(DomainMismatchError, match=r"int elements are integers, got Element\("):
+            Sequence(Tag.INT, (make_element(Tag.INT, 1), make_element(tag, 1)))
 
 
 tags_and_payloads = st.tuples(
@@ -543,7 +549,7 @@ def test_sequence_equality_is_tag_and_payloads(a, b):
     assert (sa == sb) == (a[0] is b[0] and a[1] == b[1])
     if sa == sb:
         assert hash(sa) == hash(sb)
-    built = Sequence(a[0], tuple(make_element(a[0], p) for p in a[1]))
+    built = Sequence(*a)
     assert built == sa and hash(built) == hash(sa)
 
 
@@ -552,7 +558,7 @@ def test_sequence_is_never_equal_to_another_type():
     seq = Sequence.from_payloads(Tag.INT, [1])
     assert seq.__eq__((1,)) is NotImplemented
     assert not seq == (1,) and seq != (1,)
-    assert seq != seq.items
+    assert seq != (Element(Tag.INT, 1),)
 
 
 @pytest.mark.parametrize(
@@ -566,14 +572,16 @@ def test_sequence_is_never_equal_to_another_type():
     ],
 )
 def test_sequence_items_are_the_elements(tag, payloads):
-    "items, iteration and indexing give the Elements from_payloads used to build"
-    seq = Sequence.from_payloads(tag, payloads)
-    want = tuple(make_element(tag, p) for p in payloads)
-    assert seq.items == want
-    assert tuple(seq) == want
-    assert seq[1] == want[1] and seq[1:] == want[1:]
-    assert seq.payloads() == tuple(el.value for el in want)
-    assert len(seq) == len(want)
+    "the terms are the payloads of the Elements make_element builds, by either constructor; no Element view is kept"
+    seq = Sequence(tag, payloads)
+    assert seq == Sequence.from_payloads(tag, payloads)
+    assert seq.payloads() == tuple(make_element(tag, p).value for p in payloads)
+    assert len(seq) == len(payloads)
+    with pytest.raises(TypeError):
+        iter(seq)
+    with pytest.raises(TypeError):
+        seq[1]
+    assert not hasattr(seq, "items")
 
 
 @pytest.mark.parametrize(
@@ -592,13 +600,14 @@ def test_sequence_items_are_the_elements(tag, payloads):
     ],
 )
 def test_from_payloads_rejects_like_make_element(tag, bad):
-    "the first bad payload raises make_element's error type and message"
+    "the first bad payload raises make_element's error type and message, by either constructor"
     good = make_element(tag, {Tag.RATIONAL: 1, Tag.WORD_NAT: (), Tag.WORD_BIT: ()}.get(tag, 1)).value
     with pytest.raises(Exception) as want:
         make_element(tag, bad)
-    with pytest.raises(type(want.value)) as got:
-        Sequence.from_payloads(tag, [good, bad, good])
-    assert str(got.value) == str(want.value)
+    for build in (Sequence, Sequence.from_payloads):
+        with pytest.raises(type(want.value)) as got:
+            build(tag, [good, bad, good])
+        assert str(got.value) == str(want.value)
 
 
 def test_parse_up_sequence():

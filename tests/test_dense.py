@@ -304,9 +304,17 @@ def test_persistently_approaches_needs_late_hits():
     assert not persistently_approaches([F(1, 2), F(1, 4)], F(1, 2), [F(1, 4)])
 
 
-def test_persistently_approaches_accepts_elements():
-    seq = [make_element(Tag.RATIONAL, F(3, 8))]
-    assert persistently_approaches(seq, F(1, 2), [F(1, 4)])
+def test_persistently_approaches_refuses_elements():
+    "an Element is no rational, as a value, as g or as an anchor"
+    el = make_element(Tag.RATIONAL, F(3, 8))
+    assert persistently_approaches([el.value], F(1, 2), [F(1, 4)])
+    for call in (
+        lambda: persistently_approaches([el], F(1, 2), [F(1, 4)]),
+        lambda: persistently_approaches([F(3, 8)], el, [F(1, 4)]),
+        lambda: persistently_approaches([F(3, 8)], F(1, 2), [el]),
+    ):
+        with pytest.raises(DomainMismatchError, match=r"rational elements are Fractions, got Element\("):
+            call()
 
 
 @pytest.mark.parametrize(

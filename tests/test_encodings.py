@@ -179,6 +179,22 @@ def test_word_to_dyadic_refuses_negative_entries(word):
         word_to_dyadic(word)
 
 
+@given(nat_words)
+def test_encoders_read_a_list_as_its_tuple(word):
+    "the encoders read entries by value, so a list encodes as its tuple does"
+    assert word_to_dyadic(list(word)) == word_to_dyadic(word)
+    assert word_to_bits(list(word)) == word_to_bits(word)
+    assert word_to_dyadic([1, 2]) == Fraction(9, 32)
+
+
+@pytest.mark.parametrize("word", [(True, 0), (False, 1), (1, True), (True, True, False)])
+def test_encoders_read_a_bool_entry_as_0_or_1(word):
+    "a bool entry encodes as its int, also where groupby folds it into a run of that int"
+    ints = tuple(map(int, word))
+    assert word_to_dyadic(word) == word_to_dyadic(ints)
+    assert word_to_bits(word) == word_to_bits(ints)
+
+
 def test_format_dyadic_binary():
     assert format_dyadic_binary(Fraction(3, 8)) == "0.011"
     assert format_dyadic_binary(Fraction(0)) == "0."

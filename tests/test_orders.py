@@ -427,9 +427,10 @@ def test_unnormalisable_payload_is_a_domain_mismatch(tag, payload):
     "a payload that does not normalise raises the typed error, per term and in bulk"
     with pytest.raises(DomainMismatchError) as want:
         make_element(tag, payload)
-    with pytest.raises(DomainMismatchError) as got:
-        Sequence.from_payloads(tag, [payload])
-    assert str(got.value) == str(want.value)
+    for build in (Sequence, Sequence.from_payloads):
+        with pytest.raises(DomainMismatchError) as got:
+            build(tag, [payload])
+        assert str(got.value) == str(want.value)
 
 
 def test_rational_formats_as_fraction():
