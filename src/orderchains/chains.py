@@ -343,6 +343,9 @@ class UPSequence:
     cycle: Sequence
 
     def __post_init__(self):
+        for part in (self.prefix, self.cycle):
+            if not isinstance(part, Sequence):
+                raise DomainMismatchError(f"UPSequence takes a Sequence prefix and cycle, got {echo(part, repr)}")
         if self.prefix.tag is not self.cycle.tag:
             raise DomainMismatchError("prefix and cycle must share a domain tag")
         if len(self.cycle) == 0:
@@ -387,6 +390,9 @@ def cycle_witness(up: UPSequence, order: Order) -> list[Element] | None:
     non-strict reading it is reflexive, so the first cycle value is a
     self-loop.
     """
+    if not isinstance(up, UPSequence):
+        raise DomainMismatchError(f"chain functions take a UPSequence, got {echo(up, repr)}")
+    check_order(order, "chain functions take")
     cycle = up.cycle
     order.check_tag(cycle.tag)
     return None if order.strict else [Element(cycle.tag, cycle.payloads()[0])]

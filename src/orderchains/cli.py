@@ -8,34 +8,49 @@ and found violations, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from fractions import Fraction
 
-from . import chains, dense, encodings, orders, reductions, trees
+from . import chains, dense, orders, reductions, trees
 from .errors import ArgumentError, DuplicateElementError, OrderChainsError, ParseError, echo
 from .limits import ECHO_LIMIT, MAX_DYADIC_DIGITS
 from .orders import Tag
-from .words import format_bit_word, parse_nat_word
-
-_TAG_CHOICES = {t.value: t for t in Tag}
+from .words import parse_nat_word
 
 
 def _order_from_args(args) -> orders.Order:
-    tag = _TAG_CHOICES[args.tag] if getattr(args, "tag", None) else None
+    tag = Tag(args.tag) if getattr(args, "tag", None) else None
     return orders.make_order(args.order, strict=args.strict, tag=tag)
+
+
+@contextlib.contextmanager
+def _opened(path: str, mode: str):
+    """The file at ``path`` opened as UTF-8 text in ``mode``; a file that
+    cannot be opened, read or written, or is not UTF-8 text, raises the
+    ``ParseError`` "PATH: reason"."""
+    try:
+        with open(path, mode, encoding="utf-8") as fp:
+            yield fp
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _write_out(path: str | None, write) -> None:
+    """``write(fp)`` to the ``--out`` file at ``path``, or to stdout when
+    there is none; the file is opened only now, after the work."""
+    with _opened(path, "w") if path else contextlib.nullcontext(sys.stdout) as fp:
+        write(fp)
 
 
 def _read_located(path: str, parse_line) -> list:
     """``parse_line(line)`` of every stripped, non-blank line of the file,
     errors located by line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            lines = fp.readlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    with _opened(path, "r") as fp:
+        lines = fp.readlines()
     out = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -85,13 +100,8 @@ def cmd_reduce(args) -> int:
     tree = trees.validate_tree(_read_located(args.tree, parse_nat_word), mode=args.mode)
     pipeline = reductions.make_pipeline(args.target)
     image = pipeline.apply(reductions.reduce_tree(tree, args.horizon))
-    lines = [orders.format_payload(image.tag, p) for p in image.payloads()]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    text = "".join(f"{orders.format_payload(image.tag, p)}\n" for p in image.payloads())
+    _write_out(args.out, lambda fp: fp.write(text))
     length, witness = chains.longest_chain(image, pipeline.order)
     print(f"target: {pipeline.name}")
     print(f"horizon: {args.horizon}")
@@ -101,22 +111,20 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    pmap = reductions.POINTWISE_MAPS[args.map]
     for token in args.inputs:
-        if args.map == "double":
+        if pmap.domain is Tag.NAT:  # naturals with zero, as double_bits reads them
             try:
                 if not token.isdecimal():
                     raise ValueError(token)
-                n = int(token)  # raises past the interpreter's digit limit too
+                value = int(token)  # raises past the interpreter's digit limit too
             except ValueError as exc:
                 raise ParseError(f"bad natural token {echo(token, repr)}") from exc
-            print(format_bit_word(encodings.double_bits(n)))
-            continue
-        word = parse_nat_word(token)
-        if args.map == "binary":
-            print(format_bit_word(encodings.word_to_bits(word)))
         else:
-            _check_dyadic_printable(len(word) + sum(word))
-            print(orders.format_payload(Tag.RATIONAL, encodings.word_to_dyadic(word)))
+            value = parse_nat_word(token)
+            if pmap.codomain is Tag.RATIONAL:
+                _check_dyadic_printable(len(value) + sum(value))
+        print(orders.format_payload(pmap.codomain, pmap.fn(value)))
     return 0
 
 
@@ -136,13 +144,6 @@ def _check_dyadic_printable(digits: int) -> None:
 
 
 def cmd_fuzz(args) -> int:
-    # str refuses an int past the interpreter's digit limit, and the CSV
-    # prints every trial seed, the widest at the first or the last trial.
-    for trial in {0, args.trials - 1} if args.trials > 0 else ():
-        try:
-            str(reductions._trial_seed(args.seed, trial))
-        except ValueError:
-            raise ArgumentError(f"--seed {echo(args.seed)} gives trial seeds too long to print") from None
     pipeline = reductions.make_pipeline(args.pipeline)
     gen = reductions.TreeGenSpec(
         seed=args.seed,
@@ -152,11 +153,7 @@ def cmd_fuzz(args) -> int:
         max_children=args.max_children,
     )
     report = reductions.fuzz_reduction(pipeline, gen, args.trials, args.horizon)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            report.write_csv(fp)
-    else:
-        report.write_csv(sys.stdout)
+    _write_out(args.out, report.write_csv)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -241,7 +238,7 @@ def _add_order_flags(sub):
         "--non-strict", dest="strict", action="store_false",
         help="reflexive reading: equal values count as related",
     )
-    sub.add_argument("--tag", choices=sorted(_TAG_CHOICES), help="domain tag (Delta only)")
+    sub.add_argument("--tag", choices=sorted(t.value for t in Tag), help="domain tag (Delta only)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -78,12 +78,14 @@ class MiddleThirds:
     Each call builds stage k afresh from the left numerators of its
     intervals; nothing is kept between calls.  Negative stages and
     stages beyond ``MAX_DEPTH + 1`` (the finest a scheme can ask for)
-    are refused, since stage k has 2**k components.
+    are refused, since stage k has 2**k components.  The stage index is
+    read by ``operator.index``, as an enumeration position is.
     """
 
     name = "cantor3"
 
     def stage(self, k: int) -> tuple[Interval, ...]:
+        k = operator.index(k)
         if k < 0:
             raise SchemeError(f"middle-thirds stage {echo(k)} is negative")
         if k > MAX_DEPTH + 1:
@@ -94,7 +96,7 @@ class MiddleThirds:
 
     def components(self, k: int) -> int:
         """len(self.stage(k)), without building the stage."""
-        return 2**k
+        return 2 ** operator.index(k)
 
 
 class FixedStages:

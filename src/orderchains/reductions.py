@@ -241,13 +241,22 @@ def fuzz_reduction(
     For the prefix-order targets (``subset``, and ``binary``, whose map
     preserves and reflects the prefix order) the image chain length must
     sit in [L_tree, L_tree + 1]; the reverse-lex targets keep the lower
-    bound.  A horizon ``reduce_tree`` refuses, or a negative trial
-    count, raises ``ArgumentError`` before the first trial.
+    bound.  A horizon ``reduce_tree`` refuses, a negative trial count,
+    or a seed whose trial seeds have more digits than the interpreter
+    prints (``write_csv`` and ``repr`` print them all), raises
+    ``ArgumentError`` before the first trial.
     """
     trials = index(trials)  # a trial count that is not an int fails as range fails
     _check_horizon(horizon)
     if trials < 0:
         raise ArgumentError(f"trial count {echo(trials)} is negative")
+    # str refuses an int past the interpreter's digit limit; the widest
+    # trial seed is the first or the last.
+    for trial in {0, trials - 1} if trials else ():
+        try:
+            str(_trial_seed(gen.seed, trial))
+        except ValueError:
+            raise ArgumentError(f"seed {echo(gen.seed)} gives trial seeds too long to print") from None
     rows = []
     for trial in range(trials):
         seed = _trial_seed(gen.seed, trial)

@@ -10,6 +10,8 @@ from orderchains.chains import (
     Sequence,
     UPSequence,
     constant_subsequence,
+    cycle_witness,
+    decide_membership_up,
     longest_chain,
     patience_chain_length,
     verify_witness,
@@ -236,6 +238,23 @@ NOT_AN_ORDER = {
     "dense_embed name": lambda: dense_embed([Element(Tag.INT, 1)], "IntLess", dyadic_stream()),
     "check_axioms": lambda: check_axioms(None, [Element(Tag.INT, 1)]),
     "check_axioms name": lambda: check_axioms("IntLess", [Element(Tag.INT, 1)]),
+    "cycle_witness": lambda: cycle_witness(UPSequence(_ints(), _ints(1)), None),
+    "decide_membership_up name": lambda: decide_membership_up(UPSequence(_ints(), _ints(1)), "IntLess"),
+}
+# An eventually periodic sequence that is not a ``UPSequence``, and parts
+# of one that are not ``Sequence``s, with the text each refusal opens with.
+NOT_A_UP_SEQUENCE = {
+    "cycle_witness": ("chain functions take a UPSequence, got None", lambda: cycle_witness(None, IntLessOrder())),
+    "cycle_witness sequence": (
+        "chain functions take a UPSequence, got Sequence", lambda: cycle_witness(_ints(1), IntLessOrder()),
+    ),
+    "decide_membership_up": (
+        "chain functions take a UPSequence, got None", lambda: decide_membership_up(None, IntLessOrder()),
+    ),
+    "UPSequence": ("UPSequence takes a Sequence prefix and cycle, got None", lambda: UPSequence(None, None)),
+    "UPSequence cycle payloads": (
+        "UPSequence takes a Sequence prefix and cycle, got [1]", lambda: UPSequence(_ints(), [1]),
+    ),
 }
 
 
@@ -286,6 +305,14 @@ def test_an_oracle_that_is_not_an_order_raises_domain_mismatch(intake):
     )
     with pytest.raises(DomainMismatchError, match=f"^{taker} an Order, got"):
         NOT_AN_ORDER[intake]()
+
+
+@pytest.mark.parametrize("intake", sorted(NOT_A_UP_SEQUENCE))
+def test_an_up_sequence_that_is_not_one_raises_domain_mismatch(intake):
+    message, call = NOT_A_UP_SEQUENCE[intake]
+    with pytest.raises(DomainMismatchError) as info:
+        call()
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("intake", sorted(DOCUMENTED_REFUSALS))
@@ -570,6 +597,14 @@ def test_fuzz_reduction_refuses_a_horizon_before_any_trial(trials, horizon, monk
     assert str(got.value) == str(want.value)
 
 
+def test_fuzz_reduction_refuses_a_seed_whose_trial_seeds_cannot_print(monkeypatch):
+    "a report whose CSV and repr could not print its trial seeds is refused, with no trial run"
+    monkeypatch.setattr("orderchains.reductions.generate_tree", None)
+    with pytest.raises(ArgumentError) as got:
+        fuzz_reduction(make_pipeline("subset"), TreeGenSpec(seed=10**4300), 1, 10)
+    assert str(got.value) == "seed <int too large to print> gives trial seeds too long to print"
+
+
 @pytest.mark.parametrize("trials", [None, "3", 1.0])
 def test_fuzz_reduction_reads_a_trial_count_as_range_does(trials):
     "a trial count that is not an int keeps range's TypeError, before the horizon is read"
@@ -588,10 +623,14 @@ def test_an_order_name_that_is_not_a_string_is_unknown(name):
     assert str(got.value).startswith(f"unknown order {echo(name, repr)}; ")
 
 
+# Enumeration positions, and the middle-thirds stage index, each read by
+# operator.index.
 POSITION_INTAKES = {
     "word_at": word_at,
     "block_at": block_at,
     "image_at": lambda n: image_at(validate_tree([(), (0,)]), n),
+    "MiddleThirds.stage": MiddleThirds().stage,
+    "MiddleThirds.components": MiddleThirds().components,
 }
 
 
@@ -607,3 +646,9 @@ def test_an_enumeration_position_that_is_not_an_int_raises_type_error(intake, po
 def test_an_enumeration_position_that_is_a_bool_reads_as_0_or_1(intake):
     call = POSITION_INTAKES[intake]
     assert call(False) == call(0) and call(True) == call(1)
+
+
+def test_a_middle_thirds_resolution_that_is_not_an_int_raises_type_error():
+    "build_scheme reads a given resolution through the oracle's stage, so MiddleThirds refuses a float"
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build_scheme(MiddleThirds(), 2, resolution=1.5)

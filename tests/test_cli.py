@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import shutil
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import orderchains
-from orderchains import encodings
+from orderchains import reductions
 from orderchains.cli import build_parser, main
 
 if sys.version_info >= (3, 11):
@@ -221,8 +222,9 @@ def test_encode_rational_refuses_unprintable_words_before_encoding(capsys, monke
     refused = (10**limit).bit_length()
     code, out, _ = run(capsys, "encode", "--map", "rational", str(refused - 2))
     assert code == 0 and len(out.split("/")[1]) == limit + 1
-    encode = encodings.word_to_dyadic
-    monkeypatch.setattr(encodings, "word_to_dyadic", lambda word: pytest.fail(f"encoded {word}") if word else encode(word))
+    rational = reductions.POINTWISE_MAPS["rational"]
+    guarded = dataclasses.replace(rational, fn=lambda word: pytest.fail(f"encoded {word}") if word else rational.fn(word))
+    monkeypatch.setitem(reductions.POINTWISE_MAPS, "rational", guarded)
     code, out, err = run(capsys, "encode", "--map", "rational", "e", str(refused - 1))
     assert (code, out) == (2, "0/1\n")
     assert err == (
@@ -243,12 +245,21 @@ def test_encode_rational_without_a_digit_limit(capsys, int_digit_limit):
 @pytest.mark.parametrize("sign", ["", "-"])
 @pytest.mark.parametrize("digits", [4294, 4300])
 def test_fuzz_refuses_a_seed_whose_trial_seeds_cannot_print(capsys, int_digit_limit, sign, digits):
-    "the trial seed S * 1 000 003 + t of a seed S past 4 293 digits cannot print: refused before the CSV header"
+    "the trial seed S * 1 000 003 + t of a seed S past 4 293 digits cannot print: fuzz_reduction refuses it before the CSV header"
     int_digit_limit(4300)
     code, out, err = run(capsys, "fuzz", "--trials", "1", "--node-cap", "1", "--seed", sign + "9" * digits)
     assert (code, out) == (2, "")
     head = (sign + "9" * 40)[:40]
-    assert err == f"error: --seed {head}... ({len(sign) + digits} characters) gives trial seeds too long to print\n"
+    assert err == f"error: seed {head}... ({len(sign) + digits} characters) gives trial seeds too long to print\n"
+
+
+def test_fuzz_refuses_the_spec_and_horizon_before_the_seed(capsys, int_digit_limit):
+    "the seed refusal comes after TreeGenSpec's and fuzz_reduction's horizon and trial-count refusals"
+    int_digit_limit(4300)
+    seed = ["--seed", "9" * 4300]
+    assert run(capsys, "fuzz", "--node-cap", "0", *seed) == (2, "", "error: caps must be positive\n")
+    assert run(capsys, "fuzz", "--horizon", "0", *seed) == (2, "", "error: horizon must be at least 1\n")
+    assert run(capsys, "fuzz", "--trials", "-1", *seed) == (2, "", "error: trial count -1 is negative\n")
 
 
 def test_fuzz_prints_the_widest_printable_seed(capsys, int_digit_limit):
@@ -270,6 +281,21 @@ def test_fuzz_csv_and_exit(capsys, tmp_path):
     assert lines[0] == "trial,seed,L_tree,L_img,verdict"
     assert len(lines) == 11
     assert "violations=0" in err
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"), ("", "Is a directory"),
+], ids=["under-a-missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["reduce", "fuzz"])
+def test_an_unwritable_out_is_an_error_named_by_its_path(capsys, tmp_path, tree_file, command, target, reason):
+    "exit 2 with one error line naming the path, nothing on stdout, and no file left"
+    path = tmp_path / target
+    argv = {
+        "reduce": ["reduce", tree_file, "--horizon", "3"],
+        "fuzz": ["fuzz", "--trials", "1", "--node-cap", "1", "--horizon", "3"],
+    }[command]
+    assert run(capsys, *argv, "--out", str(path)) == (2, "", f"error: {path}: {reason}\n")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_fuzz_deterministic(capsys):
@@ -674,6 +700,14 @@ def _any_file(draw, files):
     return files[draw(st.sampled_from(sorted(files)))]
 
 
+def _any_out(draw, files):
+    """No ``--out``, or one at a writable file under the tiny-files root,
+    at the root itself, or under a missing directory."""
+    root = os.path.dirname(files["ints"])
+    targets = [os.path.join(root, "out"), root, os.path.join(files["missing"], "out")]
+    return _optional(draw, "--out", st.sampled_from(targets))
+
+
 def _optional(draw, flag, values):
     """Either nothing or ``flag`` with one of ``values``."""
     return draw(st.one_of(st.just([]), values.map(lambda v: [flag, str(v)])))
@@ -683,7 +717,7 @@ def _optional(draw, flag, values):
 def _argv(draw, files):
     """One command line from a small grammar over the tiny files, bad ones included."""
     kind = draw(st.sampled_from(
-        ["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "fuzz", "reduce", "usage"]
+        ["analyze", "check-axioms", "classify", "cantor", "encode", "decide-up", "fuzz", "reduce", "out", "usage"]
     ))
     orders = ["IntLess", "RatLess", "RL", "Divides", "SubsetWordNat", "Delta", "Bogus", "o" * 10**4]
     order = ["--order", draw(st.sampled_from(orders))]
@@ -724,12 +758,18 @@ def _argv(draw, files):
             "--depth-cap", str(draw(st.sampled_from([-1, 0, 2, 4097]) | LONG_NUMBERS)),
             "--mean-children", draw(st.sampled_from(["0", "1.2", "4"])),
             "--max-children", str(draw(st.integers(0, 3) | LONG_NUMBERS)),
-        ]
+        ] + _any_out(draw, files)
+    if kind == "out":
+        # A run that succeeds but for its --out, since few drawn above do.
+        command = draw(st.sampled_from([
+            ["reduce", files["tree"], "--horizon", "4"], ["fuzz", "--trials", "2", "--node-cap", "3", "--horizon", "4"],
+        ]))
+        return command + _any_out(draw, files)
     if kind == "reduce":
         target = draw(st.sampled_from(["subset", "rational", "binary", "rl"]))
         mode = _optional(draw, "--mode", st.sampled_from(["strict", "closure"]))
         horizon = draw(st.integers(0, 6) | st.just(orderchains.trees.MAX_HORIZON + 1) | LONG_NUMBERS | st.just(UNREADABLE_NUMBER))
-        return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode
+        return [kind, _any_file(draw, files), "--horizon", str(horizon), "--target", target] + mode + _any_out(draw, files)
     return draw(st.sampled_from([
         [], ["analyze"], ["nosuch"], ["n" * 10**4], ["cantor", "--depth", "x"], ["encode", "--map", "binary"],
         ["fuzz", "--m=" + "x" * 5000], ["analyze", "t", "--order", "IntLess", "--strict=" + "y" * 5000],
